@@ -111,12 +111,17 @@ func (r *Result) Document() ResultJSON {
 	return doc
 }
 
-// ExportJSON writes the result as an indented JSON document.
+// ExportJSON writes the result as an indented JSON document followed by a
+// newline (the bytes json.Encoder with SetIndent would write). The
+// document is encoded once, into a buffer MarshalIndent sizes itself.
 func (r *Result) ExportJSON(w io.Writer) error {
 	if r.DB == nil {
 		return fmt.Errorf("ftpm: result has no sequence database attached")
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Document())
+	b, err := json.MarshalIndent(r.Document(), "", "  ")
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(b, '\n'))
+	return err
 }

@@ -22,6 +22,16 @@ func TestExportJSON(t *testing.T) {
 	if err := res.ExportJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
+	// The export is byte for byte what an indenting json.Encoder writes.
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(res.Document()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want.Bytes()) {
+		t.Fatal("export differs from the json.Encoder encoding")
+	}
 	var doc ftpm.ResultJSON
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("export is not valid JSON: %v", err)

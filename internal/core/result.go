@@ -67,10 +67,10 @@ type LevelStats struct {
 type Stats struct {
 	Sequences       int
 	AbsoluteSupport int
-	// Shards is the number of data shards the run was partitioned over
-	// (0 for unsharded runs via Mine).
+	// Shards is the number of data shards the run was partitioned over;
+	// 0 for a one-shard run (every Mine call).
 	Shards int
-	// ShardSequences lists |shard| per shard for sharded runs — the
+	// ShardSequences lists |shard| per shard when Shards > 1 — the
 	// balance check of the sharded registry.
 	ShardSequences []int
 	// SinglesConsidered / SinglesFrequent count level L1.

@@ -108,8 +108,13 @@ func TestMineShardedMatchesUnsharded(t *testing.T) {
 			if merged.Size() != tc.db.Size() {
 				t.Fatalf("%s k=%d: merged %d sequences, want %d", tc.name, k, merged.Size(), tc.db.Size())
 			}
-			if got.Stats.Shards != k || len(got.Stats.ShardSequences) != k {
-				t.Fatalf("%s k=%d: stats report %d shards (%v)", tc.name, k, got.Stats.Shards, got.Stats.ShardSequences)
+			// A one-shard run reports no shards, exactly like Mine.
+			wantShards := k
+			if k == 1 {
+				wantShards = 0
+			}
+			if got.Stats.Shards != wantShards || len(got.Stats.ShardSequences) != wantShards {
+				t.Fatalf("%s k=%d: stats report %d shards (%v), want %d", tc.name, k, got.Stats.Shards, got.Stats.ShardSequences, wantShards)
 			}
 			sameResults(t, fmt.Sprintf("%s k=%d", tc.name, k), got, want)
 		}

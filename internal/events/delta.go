@@ -52,17 +52,32 @@ func vocabExtends(prev, next *Vocab) bool {
 	return true
 }
 
-// convertDelta is the shared delta-conversion core: it cuts db into k
-// round-robin shards, reusing the sequence of window i from prevSeq(i)
-// for every window in the stable prefix. prevCount is the number of
-// windows the previous conversion produced and prevEnd its observation
-// end; prevVocab guards id stability. It returns the shards and the
-// stable-prefix length in windows (== global sequences, since the
-// round-robin merge order equals window order).
-func convertDelta(src timeseries.SymbolSource, opt SplitOptions, k int,
-	prevSeq func(int) *Sequence, prevCount int, prevVocab *Vocab, prevEnd temporal.Time) ([]*DB, int, error) {
-	if k <= 0 {
-		return nil, 0, fmt.Errorf("events: shard count must be positive, got %d", k)
+// ConvertShardsDelta converts db into K round-robin shards like
+// ConvertShards, reusing the stable window prefix of a previous sharded
+// conversion (ConvertShards with the same geometry and shard count) of a
+// database that db extends in time: same series, same symbol prefix over
+// the first prevEnd ticks, alphabets only extended. Reused sequences are
+// shared by pointer — sequences are immutable after construction — so the
+// previous shard set stays valid for readers still mining it. The
+// returned stable count is in windows, which equals global (merged)
+// sequence indexes: window i lives in shard i%K at local position i/K on
+// both sides. When nothing is reusable (NumWindows geometry, or a
+// vocabulary-shifting append) it degrades to a full conversion with
+// stable 0 and remains exact either way.
+func ConvertShardsDelta(src timeseries.SymbolSource, opt SplitOptions, k int, prev []*DB, prevEnd temporal.Time) ([]*DB, int, error) {
+	if len(prev) == 0 {
+		out, err := ConvertShards(src, opt, k)
+		return out, 0, err
+	}
+	if len(prev) != k {
+		return nil, 0, fmt.Errorf("events: previous conversion has %d shards, want %d", len(prev), k)
+	}
+	prevCount := 0
+	for _, sh := range prev {
+		if sh == nil {
+			return nil, 0, fmt.Errorf("events: nil shard in previous conversion")
+		}
+		prevCount += sh.Size()
 	}
 	w, err := opt.resolve(src)
 	if err != nil {
@@ -73,7 +88,7 @@ func convertDelta(src timeseries.SymbolSource, opt SplitOptions, k int,
 	windows := windowsOf(src, w, opt.Overlap)
 
 	stable := 0
-	if opt.WindowLength > 0 && vocabExtends(prevVocab, vocab) {
+	if opt.WindowLength > 0 && vocabExtends(prev[0].Vocab, vocab) {
 		// A window is stable when it existed in the previous split (same
 		// index, same start under the fixed stride) and ends at or before
 		// the previous observation end — such a window was not clipped
@@ -95,7 +110,7 @@ func convertDelta(src timeseries.SymbolSource, opt SplitOptions, k int,
 				if i < stable {
 					// The reused sequence already carries the positional
 					// local id i/k of this shard slot.
-					sh.Sequences = append(sh.Sequences, prevSeq(i))
+					sh.Sequences = append(sh.Sequences, prev[s].Sequences[i/k])
 					continue
 				}
 				sh.Sequences = append(sh.Sequences, cutWindow(len(sh.Sequences), windows[i], all))
@@ -104,52 +119,4 @@ func convertDelta(src timeseries.SymbolSource, opt SplitOptions, k int,
 	}
 	wg.Wait()
 	return shards, stable, nil
-}
-
-// ConvertDelta converts db like Convert, reusing the sequences of a
-// previous conversion of a database that db extends in time. prev must be
-// Convert's output for the same split geometry over the first prevEnd
-// ticks of db's series (same series, same symbol prefix, alphabets only
-// extended). It returns the new database and the number of leading
-// sequences reused; when nothing is reusable (NumWindows geometry, or a
-// vocabulary-shifting append) it degrades to a full conversion with
-// stable 0 and remains exact either way.
-func ConvertDelta(src timeseries.SymbolSource, opt SplitOptions, prev *DB, prevEnd temporal.Time) (*DB, int, error) {
-	if prev == nil {
-		out, err := Convert(src, opt)
-		return out, 0, err
-	}
-	shards, stable, err := convertDelta(src, opt, 1,
-		func(i int) *Sequence { return prev.Sequences[i] }, prev.Size(), prev.Vocab, prevEnd)
-	if err != nil {
-		return nil, 0, err
-	}
-	return shards[0], stable, nil
-}
-
-// ConvertShardsDelta converts db into K round-robin shards like
-// ConvertShards, reusing the stable window prefix of a previous sharded
-// conversion (ConvertShards with the same geometry and shard count) of a
-// database that db extends in time. Reused sequences are shared by
-// pointer — sequences are immutable after construction — so the previous
-// shard set stays valid for readers still mining it. The returned stable
-// count is in windows, which equals global (merged) sequence indexes:
-// window i lives in shard i%K at local position i/K on both sides.
-func ConvertShardsDelta(src timeseries.SymbolSource, opt SplitOptions, k int, prev []*DB, prevEnd temporal.Time) ([]*DB, int, error) {
-	if len(prev) == 0 {
-		out, err := ConvertShards(src, opt, k)
-		return out, 0, err
-	}
-	if len(prev) != k {
-		return nil, 0, fmt.Errorf("events: previous conversion has %d shards, want %d", len(prev), k)
-	}
-	prevCount := 0
-	for _, sh := range prev {
-		if sh == nil {
-			return nil, 0, fmt.Errorf("events: nil shard in previous conversion")
-		}
-		prevCount += sh.Size()
-	}
-	return convertDelta(src, opt, k,
-		func(i int) *Sequence { return prev[i%k].Sequences[i/k] }, prevCount, prev[0].Vocab, prevEnd)
 }

@@ -49,7 +49,9 @@ func (db *DB) ShardRoundRobin(k int) ([]*DB, error) {
 // per shard, the global index of each local sequence. All shards must
 // share one vocabulary instance; empty shards are allowed. Sequences are
 // shallow copies re-indexed positionally — instance data is shared with
-// the shards, never duplicated.
+// the shards, never duplicated. A sequence whose id already equals its
+// global index (every sequence of a single shard with positional ids) is
+// shared as is: sequences are immutable after construction.
 func MergeShards(shards []*DB) (*DB, [][]int, error) {
 	if len(shards) == 0 {
 		return nil, nil, fmt.Errorf("events: no shards to merge")
@@ -82,10 +84,14 @@ func MergeShards(shards []*DB) (*DB, [][]int, error) {
 			if r >= len(sh.Sequences) {
 				continue
 			}
-			cp := *sh.Sequences[r]
-			cp.ID = len(out.Sequences)
-			globalIdx[s][r] = cp.ID
-			out.Sequences = append(out.Sequences, &cp)
+			seq := sh.Sequences[r]
+			if g := len(out.Sequences); seq.ID != g {
+				cp := *seq
+				cp.ID = g
+				seq = &cp
+			}
+			globalIdx[s][r] = seq.ID
+			out.Sequences = append(out.Sequences, seq)
 		}
 	}
 	return out, globalIdx, nil

@@ -82,6 +82,28 @@ func TestHTPGMMatchesNaiveOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		wm := asMap(want.Patterns)
+		check := func(label string, got *core.Result) {
+			t.Helper()
+			gm := asMap(got.Patterns)
+			if len(gm) != len(wm) {
+				t.Errorf("trial %d %s: %d patterns, oracle has %d", trial, label, len(gm), len(wm))
+			}
+			for k, v := range wm {
+				if g, ok := gm[k]; !ok {
+					t.Errorf("trial %d %s: missing pattern (oracle %s)", trial, label, v)
+				} else if g != v {
+					t.Errorf("trial %d %s: stats %s, oracle %s", trial, label, g, v)
+				}
+			}
+			for k := range gm {
+				if _, ok := wm[k]; !ok {
+					t.Errorf("trial %d %s: extra pattern mined", trial, label)
+				}
+			}
+			if t.Failed() {
+				t.Fatalf("stopping after first failing trial (%d)", trial)
+			}
+		}
 		for _, mode := range []core.PruningMode{core.PruneAll, core.PruneNone, core.PruneApriori, core.PruneTrans} {
 			c := cfg
 			c.Pruning = mode
@@ -89,24 +111,21 @@ func TestHTPGMMatchesNaiveOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gm := asMap(got.Patterns)
-			if len(gm) != len(wm) {
-				t.Errorf("trial %d mode %v: %d patterns, oracle has %d", trial, mode, len(gm), len(wm))
-			}
-			for k, v := range wm {
-				if g, ok := gm[k]; !ok {
-					t.Errorf("trial %d mode %v: missing pattern (oracle %s)", trial, mode, v)
-				} else if g != v {
-					t.Errorf("trial %d mode %v: stats %s, oracle %s", trial, mode, g, v)
+			check(fmt.Sprintf("mode %v", mode), got)
+			// Every shard width and worker count mines the same patterns.
+			for _, k := range []int{2, 7} {
+				shards, err := db.ShardRoundRobin(k)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			for k := range gm {
-				if _, ok := wm[k]; !ok {
-					t.Errorf("trial %d mode %v: extra pattern mined", trial, mode)
+				for _, workers := range []int{1, 4} {
+					c.Workers = workers
+					got, _, err := core.MineSharded(context.Background(), shards, c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					check(fmt.Sprintf("mode %v shards %d workers %d", mode, k, workers), got)
 				}
-			}
-			if t.Failed() {
-				t.Fatalf("stopping after first failing trial (%d)", trial)
 			}
 		}
 	}

@@ -154,17 +154,14 @@
 // (column parsing, symbolization, window cutting) runs concurrently per
 // shard.
 //
-// Merge invariants: every sequence belongs to exactly one shard and
-// every per-shard structure is keyed by the global sequence index, so
-// merging per-shard counts is a disjoint union (bitmaps OR, occurrence
-// maps union, supports add). Support/confidence thresholds apply exactly
-// once, to the merged counts — never per shard — so mined patterns are
-// byte-identical to the unsharded path regardless of K, and nothing is
-// double-counted against minsup.
+// Mining: every job mines the geometry's merged view through one code
+// path. Only the cold L1 support scan runs per shard; L2 and later levels
+// verify candidates over the merged view. Support/confidence thresholds
+// apply once, to global counts, so mined patterns are byte-identical for
+// every K.
 //
-// Picking K: the default GOMAXPROCS is right for CPU-bound mining; more
-// shards than cores only adds merge overhead. K=1 reproduces the
-// unsharded path exactly. Dataset responses expose "shards" and the
+// Picking K: the default GOMAXPROCS is right; shards parallelize
+// ingestion and the cold L1 scan, and K=1 is a one-shard view. Dataset responses expose "shards" and the
 // per-shard sequence counts of the most recently mined geometry, job
 // summaries report the shard split, granted workers and cache hits, and
 // every job response carries the current queue depth; GET /metrics adds

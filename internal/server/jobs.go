@@ -153,7 +153,7 @@ type Progress struct {
 }
 
 // JobSummary reports the headline numbers of a completed job. Shards and
-// ShardSeqs mirror the sharded run's partition (absent for unsharded
+// ShardSeqs mirror the sharded run's partition (absent for one-shard
 // datasets); Workers is the worker count the budget granted the job.
 // DSEQCache and NMICache report whether the run reused the dataset's
 // cached DSEQ conversion / pairwise NMI table (NMICache is always false

@@ -63,6 +63,30 @@ func mineDone(t *testing.T, base string, req MiningRequest) JobInfo {
 // graceful Close performs.
 func crash(s *Server) { s.persist.log.Close() }
 
+// waitIdle polls the metrics endpoint until the default tenant runs no
+// job. A job turns terminal before its terminal record reaches the WAL
+// and releases its run slot only after, so an idle tenant means every
+// terminal record is in the log — what a simulated crash that expects
+// that record must wait for.
+func waitIdle(t *testing.T, base string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var m MetricsJSON
+		if code := doJSON(t, http.MethodGet, base+"/metrics", nil, &m); code != 200 {
+			t.Fatalf("metrics: status %d", code)
+		}
+		running := m.Tenants[DefaultTenant].Running
+		if running == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("default tenant still runs %d jobs", running)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 // waitCompacted polls the metrics endpoint until the background
 // compaction has reset the WAL below limit records.
 func waitCompacted(t *testing.T, base string, limit int) MetricsJSON {
@@ -308,6 +332,7 @@ func TestTornWALTailRecoveryEndToEnd(t *testing.T) {
 
 	// Crash (so the WAL still holds the events), then tear its tail as a
 	// power cut mid-append would.
+	waitIdle(t, ts1.URL)
 	crash(srv1)
 	walPath := filepath.Join(dir, "wal")
 	data, err := os.ReadFile(walPath)
@@ -343,6 +368,7 @@ func TestTornWALTailRecoveryEndToEnd(t *testing.T) {
 		DatasetID: info3.ID, MinSupport: 0.2, MinConfidence: 0,
 		NumWindows: 2, MaxPatternSize: 3,
 	})
+	waitIdle(t, ts3.URL)
 	crash(srv3)
 	wal3 := filepath.Join(dir2, "wal")
 	data3, err := os.ReadFile(wal3)

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"ftpm/internal/server/events"
 )
 
 // Real-time job event streams: GET /v1/jobs/{id}/events follows one job
@@ -153,14 +155,36 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, jobID stri
 		}
 	}
 
+	// deliver writes one event, preceded by a "dropped" frame when the
+	// subscription missed some, and reports whether the stream is over.
+	deliver := func(ev events.Event) bool {
+		if missed := s.hub.TakeMissed(sub); missed > 0 {
+			if sw.event(0, "dropped", mustJSON(droppedData{Dropped: missed})) != nil {
+				return true
+			}
+		}
+		if sw.event(ev.ID, ev.Type, ev.Data) != nil {
+			return true
+		}
+		return jobID != "" && ev.Final
+	}
+
 	// A per-job stream whose job is already terminal and whose replay did
-	// not seed the final event ends immediately: either the client's
-	// Last-Event-ID proves it already saw the finale (clean end), or the
-	// ring rotated past it / the job predates this process, in which case
-	// a synthetic unsequenced "state" snapshot resynchronizes the client.
+	// not seed the final event first writes the frames already queued: the
+	// replay, and the final event if it was published since Subscribe (a
+	// job turns terminal before it publishes). If no final event came
+	// through, either the client's Last-Event-ID proves it already saw the
+	// finale (clean end), or the ring rotated past it / the job predates
+	// this process / its publish is still in flight, in which case a
+	// synthetic unsequenced "state" snapshot resynchronizes the client.
 	if j != nil && !seededFinal {
 		info := j.snapshot()
 		if info.State.Terminal() {
+			for n := len(sub.C); n > 0; n-- {
+				if ev, ok := <-sub.C; !ok || deliver(ev) {
+					return
+				}
+			}
 			if !resume || gap > 0 {
 				_ = sw.event(0, "state", mustJSON(jobEventData{
 					JobID: info.ID, Tenant: info.Tenant, State: info.State, Error: info.Error,
@@ -190,19 +214,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, jobID stri
 				sw.flusher.Flush()
 			}
 		case ev, ok := <-sub.C:
-			if !ok {
-				return // hub closed: server shutting down
-			}
-			if missed := s.hub.TakeMissed(sub); missed > 0 {
-				if sw.event(0, "dropped", mustJSON(droppedData{Dropped: missed})) != nil {
-					return
-				}
-			}
-			if sw.event(ev.ID, ev.Type, ev.Data) != nil {
-				return
-			}
-			if jobID != "" && ev.Final {
-				return
+			if !ok || deliver(ev) {
+				return // !ok: hub closed, server shutting down
 			}
 		}
 	}

@@ -55,11 +55,11 @@ type Options struct {
 	Approx *ApproxOptions
 
 	// Shards partitions the sequence database round-robin into this many
-	// shards (0 or 1 = unsharded): the DSYB→DSEQ conversion and L1/L2
-	// support counting then run shard-local and merge deterministically,
-	// with results byte-identical to the unsharded run. Only honoured by
-	// MineSymbolic (Mine takes a prebuilt SequenceDB; use MineSharded for
-	// prebuilt shards).
+	// shards (0 or 1 = one shard): the DSYB→DSEQ window cutting and the
+	// cold L1 support scan then run per shard, and mining continues on
+	// the merged view, with results byte-identical for every width. Only
+	// honoured by MineSymbolic (Mine takes a prebuilt SequenceDB; use
+	// MineSharded for prebuilt shards).
 	Shards int
 
 	// Pruning selects the E-HTPGM pruning ablation; the zero value
@@ -155,10 +155,10 @@ func Mine(ctx context.Context, db *SequenceDB, opt Options) (*Result, error) {
 
 // MineSharded runs E-HTPGM (exact) over an already-sharded sequence
 // database — shards as produced by BuildShardedSequences or
-// SequenceDB.ShardRoundRobin, sharing one vocabulary. L1/L2 support
-// counting runs shard-local before a deterministic merge; the mined
-// patterns and supports are byte-identical to Mine over the merged
-// database. Options.Approx is rejected here for the same reason as in
+// SequenceDB.ShardRoundRobin, sharing one vocabulary. The L1 support
+// scan runs per shard, and later levels verify candidates over the merged
+// database; the mined patterns and supports are byte-identical to Mine
+// over the merged database. Options.Approx is rejected here for the same reason as in
 // Mine; use MineSymbolic with Options.Shards for sharded A-HTPGM.
 func MineSharded(ctx context.Context, shards []*SequenceDB, opt Options) (*Result, error) {
 	if opt.Approx != nil {
