@@ -195,9 +195,9 @@ func TestL1MemoRepeatMine(t *testing.T) {
 // completed offer is kept, later offers are dropped.
 func TestOfferL1FirstWins(t *testing.T) {
 	v := &ShardedView{}
-	first := map[events.EventID][]int32{0: {1, 2}}
+	first := []vlist{{seqs: []int32{1, 2}}}
 	v.offerL1(first)
-	v.offerL1(map[events.EventID][]int32{0: {9}})
+	v.offerL1([]vlist{{seqs: []int32{9}}})
 	got, ok := v.l1Peek()
 	if !ok || !reflect.DeepEqual(got, first) {
 		t.Fatalf("memo = %v (ok=%v), want first offer kept", got, ok)

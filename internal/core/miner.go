@@ -42,8 +42,8 @@ func (m *miner) mineAll(ctx context.Context) (*Result, error) {
 	if m.cfg.MaxK != 1 && len(m.oneFreq) > 0 {
 		m.mineLevel2()
 		if m.cfg.MaxK == 0 || m.cfg.MaxK >= 3 {
-			// The packed L2 lookup tables only serve level-k (k >= 3)
-			// mining; a MaxK=2 run never reads them.
+			// The L2 bitsets only serve level-k (k >= 3) mining; a
+			// MaxK=2 run never reads them.
 			m.buildL2Index()
 		}
 		for k := 3; ; k++ {
@@ -72,28 +72,31 @@ func (m *miner) mineAll(ctx context.Context) (*Result, error) {
 // miner carries the run state.
 type miner struct {
 	db      *events.DB   // the view's merged database
-	view    *ShardedView // the mined view; its shards feed the L1 scan
+	view    *ShardedView // the mined view; its vertical index feeds L1
 	cfg     Config
 	rel     temporal.Config
 	n       int // |DSEQ|
 	minSupp int
 
-	// support and bitmap of every event (also infrequent ones, needed for
-	// the confidence denominators of Def 3.16).
-	eventSupp map[events.EventID]int
-	eventBm   map[events.EventID]*bitmap.Bitmap
-	oneFreq   []events.EventID // frequent singles after the series filter
+	// l1 is the view's vertical index and eventBm the support bitmap of
+	// every event, both indexed by EventID (infrequent events too: they
+	// are needed for the confidence denominators of Def 3.16). An event's
+	// support is the length of its list.
+	l1      []vlist
+	eventBm []*bitmap.Bitmap
+	oneFreq []events.EventID // frequent singles after the series filter
 
 	graph *hpg.Graph
 	stats Stats
 
-	// l2nodes and l2pats are packed lookup tables over the finished level
-	// 2 — the Lemma 5 candidate filter and the iterative triple
-	// verification hit these with comparable keys instead of assembling
-	// string keys per check. Built once by buildL2Index, read-only during
-	// level-k mining.
-	l2nodes map[uint64]bool
-	l2pats  map[pairPatKey]bool
+	// rank, l2nodes and l2pats index the finished level 2 for the Lemma 5
+	// candidate filter and the iterative triple verification: rank maps an
+	// event to its position in oneFreq (-1 outside L1), and the two
+	// bitsets are addressed by the ranks of an event pair (see pairBit).
+	// Built once by buildL2Index, read-only during level-k mining.
+	rank    []int32
+	l2nodes *bitmap.Bitmap
+	l2pats  *bitmap.Bitmap
 
 	// scrPool recycles per-worker scratch state across the run's parallel
 	// drains. Scoped to the miner (not package-global) so pooled bitmaps
@@ -165,7 +168,7 @@ func (m *miner) eventAllowed(e events.EventID) bool {
 func (m *miner) maxEventSupport(evs []events.EventID) int {
 	mx := 0
 	for _, e := range evs {
-		if s := m.eventSupp[e]; s > mx {
+		if s := len(m.l1[e].seqs); s > mx {
 			mx = s
 		}
 	}
@@ -205,7 +208,7 @@ func (m *miner) filterSingles(t0 time.Time) {
 	for id := 0; id < vocabSize; id++ {
 		e := events.EventID(id)
 		bm := m.eventBm[e]
-		supp := m.eventSupp[e]
+		supp := len(m.l1[e].seqs)
 
 		if !m.eventAllowed(e) {
 			continue
@@ -287,6 +290,10 @@ func (m *miner) verifyPair(node *hpg.Node, scr *scratch, ls *LevelStats) {
 	a, b := node.Events[0], node.Events[1]
 	keepOccs := m.keepOccsAt(2)
 
+	// Monotone cursors into both events' vertical lists: the node bitmap
+	// ascends, and each of its sequences is on both lists.
+	la, lb := &m.l1[a], &m.l1[b]
+	ca, cb := 0, 0
 	scr.idxBuf = node.Bitmap.AppendIndices(scr.idxBuf[:0])
 	for _, s32 := range scr.idxBuf {
 		if m.cancelled() {
@@ -294,8 +301,7 @@ func (m *miner) verifyPair(node *hpg.Node, scr *scratch, ls *LevelStats) {
 		}
 		seqIdx := int(s32)
 		seq := m.db.Sequences[seqIdx]
-		ia := seq.InstancesOf(a)
-		ib := seq.InstancesOf(b)
+		ia := la.seek(&ca, s32)
 		if a == b {
 			// Self-relation: ordered pairs of distinct instances.
 			for x := 0; x < len(ia); x++ {
@@ -305,6 +311,7 @@ func (m *miner) verifyPair(node *hpg.Node, scr *scratch, ls *LevelStats) {
 			}
 			continue
 		}
+		ib := lb.seek(&cb, s32)
 		for _, x := range ia {
 			for _, y := range ib {
 				// Order the two instances chronologically; instance order
@@ -484,37 +491,46 @@ func (m *miner) mineLevelK(k int) int {
 	return ls.GreenNodes
 }
 
-// pairPatKey identifies one frequent 2-event pattern (a, rel, b) in the
-// packed L2 index.
-type pairPatKey struct {
-	a, b events.EventID
-	rel  temporal.Relation
-}
-
-// packPair packs a sorted event pair into the L2 node index key.
-func packPair(lo, hi events.EventID) uint64 {
-	return uint64(uint32(lo))<<32 | uint64(uint32(hi))
-}
-
-// buildL2Index snapshots the finished level 2 into packed lookup tables:
-// the green node multisets for Lemma 5 and the frequent (a, rel, b)
-// patterns for the iterative triple verification. Both are hit per
-// candidate triple in the extension hot path — comparable map keys, no
-// string assembly.
+// buildL2Index snapshots the finished level 2 into bitsets over the L1
+// ranks: |L1|² bits of green node pairs for Lemma 5 and |L1|² ×
+// NumRelations bits of frequent (a, rel, b) patterns for the iterative
+// triple verification. Both are hit per candidate triple in the extension
+// hot path, so a lookup is two slice reads and a bit test.
 func (m *miner) buildL2Index() {
 	l2 := m.graph.Level(2)
 	if l2 == nil {
 		return
 	}
-	m.l2nodes = make(map[uint64]bool, l2.Size())
-	m.l2pats = make(map[pairPatKey]bool)
+	m.rank = make([]int32, m.db.Vocab.Size())
+	for e := range m.rank {
+		m.rank[e] = -1
+	}
+	for r, e := range m.oneFreq {
+		m.rank[e] = int32(r)
+	}
+	n1 := len(m.oneFreq)
+	m.l2nodes = bitmap.New(n1 * n1)
+	m.l2pats = bitmap.New(n1 * n1 * temporal.NumRelations)
 	for _, n := range l2.Nodes() {
-		m.l2nodes[packPair(n.Events[0], n.Events[1])] = true
+		a, b := n.Events[0], n.Events[1]
+		m.l2nodes.Set(m.pairBit(a, b))
+		m.l2nodes.Set(m.pairBit(b, a))
 		for _, pd := range n.Patterns() {
 			p := pd.Pattern
-			m.l2pats[pairPatKey{a: p.Events[0], b: p.Events[1], rel: p.Rels[0]}] = true
+			m.l2pats.Set(m.pairBit(p.Events[0], p.Events[1])*temporal.NumRelations + int(p.Rels[0]) - 1)
 		}
 	}
+}
+
+// pairBit returns the bit of the ordered event pair (a, b) in l2nodes, or
+// -1 when either event is outside L1. Its l2pats bits follow at
+// pairBit*NumRelations + rel-1.
+func (m *miner) pairBit(a, b events.EventID) int {
+	ra, rb := m.rank[a], m.rank[b]
+	if ra < 0 || rb < 0 {
+		return -1
+	}
+	return int(ra)*len(m.oneFreq) + int(rb)
 }
 
 // lemma5Allows implements the Lemma 5 candidate filter: the new event must
@@ -522,11 +538,7 @@ func (m *miner) buildL2Index() {
 // the parent combination.
 func (m *miner) lemma5Allows(node *hpg.Node, e events.EventID) bool {
 	for _, ei := range node.Events {
-		lo, hi := ei, e
-		if hi < lo {
-			lo, hi = hi, lo
-		}
-		if m.l2nodes[packPair(lo, hi)] {
+		if p := m.pairBit(ei, e); p >= 0 && m.l2nodes.Get(p) {
 			return true
 		}
 	}
@@ -561,6 +573,8 @@ func (m *miner) extendNode(parent *hpg.Node, e events.EventID, child *hpg.Node, 
 		cursors[i] = 0
 	}
 
+	// A monotone cursor into e's vertical list, like the run cursors.
+	le, ce := &m.l1[e], 0
 	scr.idxBuf = child.Bitmap.AppendIndices(scr.idxBuf[:0])
 	for _, s32 := range scr.idxBuf {
 		if m.cancelled() {
@@ -568,10 +582,7 @@ func (m *miner) extendNode(parent *hpg.Node, e events.EventID, child *hpg.Node, 
 		}
 		seqIdx := int(s32)
 		seq := m.db.Sequences[seqIdx]
-		eIdxs := seq.InstancesOf(e)
-		if len(eIdxs) == 0 {
-			continue
-		}
+		eIdxs := le.seek(&ce, s32)
 		// Dedup occurrences across parent patterns: with duplicate events
 		// the same child tuple can be reached from two parent occurrences.
 		if dup {
@@ -717,9 +728,10 @@ func (m *miner) tryExtend(seq *events.Sequence, seqIdx int, parentPat pattern.Pa
 }
 
 // l2HasPair reports whether the triple (a, rel, b) was mined as a
-// frequent, confident 2-event pattern at L2 — one packed-key map hit.
+// frequent, confident 2-event pattern at L2 — one bit test.
 func (m *miner) l2HasPair(a events.EventID, rel temporal.Relation, b events.EventID) bool {
-	return m.l2pats[pairPatKey{a: a, b: b, rel: rel}]
+	p := m.pairBit(a, b)
+	return p >= 0 && m.l2pats.Get(p*temporal.NumRelations+int(rel)-1)
 }
 
 // splice builds the (k)-event pattern obtained by inserting newEvent at

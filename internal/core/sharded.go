@@ -15,22 +15,22 @@ import (
 // This file implements the one mining path: every run mines a
 // ShardedView. The sequence database arrives partitioned into K shards
 // (round-robin over sequences, see events.MergeShards; Mine passes a
-// single shard), the L1 support scan runs shard-local, and everything
-// after it works on the merged, global-order view: L2 verifies each
-// candidate pair over the merged view and levels k >= 3 extend its
-// stored occurrences, both with candidate-level parallelism. Thresholds
-// (minsup, minconf) are evaluated exactly once, on global supports, so a
-// pattern that is locally infrequent in every shard but globally frequent
-// is still found and nothing is double-counted.
+// single shard) and everything works on the merged, global-order view:
+// L1 reads the view's vertical index (per event, the sequences and
+// instances containing it), L2 verifies each candidate pair over the
+// merged view and levels k >= 3 extend its stored occurrences, both with
+// candidate-level parallelism. Thresholds (minsup, minconf) are evaluated
+// exactly once, on global supports, so a pattern that is locally
+// infrequent in every shard but globally frequent is still found and
+// nothing is double-counted.
 //
 // The invariant backing it: every sequence belongs to exactly one shard,
 // and a bitmap bit, occurrence tuple, or sample is keyed by the global
-// sequence index. Merging the per-shard L1 scans is therefore a disjoint
-// union, and the result is byte-identical for every shard width.
+// sequence index, so the result is byte-identical for every shard width.
 
 // ShardedView is the prepared state of a mining run: the shards, their
-// merged (global-order) database, and the global index of every shard
-// sequence. Building it — validation and the round-robin merge — is
+// merged (global-order) database, and, once the first mine over it has
+// run, its vertical index. Building it — validation and the round-robin merge — is
 // O(sequences) work that depends only on the shard set, so one view can
 // back any number of MineShardedView runs over the same data (the
 // prepared-dataset engine caches it per window geometry).
@@ -41,30 +41,49 @@ type ShardedView struct {
 	// occurrences of mined patterns reference its sequence indexes.
 	Merged *events.DB
 
-	globalIdx [][]int
-
-	// l1 is the memoized L1 occurrence index: per event, the ascending
-	// global indexes of the sequences containing it. The first completed
-	// scan over the view installs it (offerL1); later runs — and delta
-	// views derived from this one (PrepareShardsDelta) — rebuild the L1
-	// bitmaps from it instead of re-walking every sequence. The map and
-	// its lists are immutable once published.
+	// l1 is the memoized vertical index, indexed by EventID: each event's
+	// ascending global sequences and its instance indexes in each. The
+	// first L1 pass over the view builds and installs it (offerL1); later
+	// runs — and delta views derived from this one (PrepareShardsDelta) —
+	// read it instead of re-walking every sequence. Every mining structure
+	// above L1 derives from it: event bitmaps and supports at L1, the
+	// instance lookups of L2 and Lk verification. The slice and its lists
+	// are immutable once published.
 	l1mu  sync.Mutex
-	l1    map[events.EventID][]int32
+	l1    []vlist
 	l1set atomic.Bool
 }
 
-// l1Peek returns the memoized L1 index, if a completed scan has been
-// installed. The returned map must not be mutated.
-func (v *ShardedView) l1Peek() (map[events.EventID][]int32, bool) {
+// vlist is one event's vertical list: the ascending global indexes of the
+// sequences containing it and, for each, the event's instance indexes in
+// that sequence (a view of the sequence's own index).
+type vlist struct {
+	seqs []int32
+	inst [][]int32
+}
+
+// seek advances the cursor *i to sequence s and returns the event's
+// instances there. Successive calls must pass ascending sequences, each
+// contained in the list; a node bitmap guarantees this, being the AND of
+// event bitmaps built from these lists.
+func (l *vlist) seek(i *int, s int32) []int32 {
+	for l.seqs[*i] < s {
+		*i++
+	}
+	return l.inst[*i]
+}
+
+// l1Peek returns the memoized vertical index, if one has been installed.
+// The returned slice must not be mutated.
+func (v *ShardedView) l1Peek() ([]vlist, bool) {
 	if !v.l1set.Load() {
 		return nil, false
 	}
 	return v.l1, true
 }
 
-// offerL1 installs a completed L1 scan; only the first offer wins.
-func (v *ShardedView) offerL1(lists map[events.EventID][]int32) {
+// offerL1 installs a completed vertical index; only the first offer wins.
+func (v *ShardedView) offerL1(lists []vlist) {
 	v.l1mu.Lock()
 	defer v.l1mu.Unlock()
 	if v.l1 == nil {
@@ -73,19 +92,45 @@ func (v *ShardedView) offerL1(lists map[events.EventID][]int32) {
 	}
 }
 
-// scanL1Lists appends, for every sequence of db at global index >= from,
-// the index to each contained event's list. Scanning in index order keeps
-// the lists ascending.
-func scanL1Lists(db *events.DB, from int, into map[events.EventID][]int32) map[events.EventID][]int32 {
-	if into == nil {
-		into = make(map[events.EventID][]int32)
+// scanL1Lists builds the vertical index of db: the lists of prev (already
+// cut to sequences below from) followed by every sequence of db at global
+// index >= from. Scanning in index order keeps the lists ascending. All
+// lists share two backing arrays sized by a counting pass, so a cold build
+// costs a handful of allocations; prev's arrays are only read.
+func scanL1Lists(db *events.DB, from int, prev []vlist) []vlist {
+	out := make([]vlist, db.Vocab.Size())
+	size := make([]int, len(out))
+	for e, l := range prev {
+		size[e] = len(l.seqs)
 	}
-	for i := from; i < db.Size(); i++ {
-		for _, e := range db.Sequences[i].Events() {
-			into[e] = append(into[e], int32(i))
+	for _, seq := range db.Sequences[from:] {
+		for _, e := range seq.Events() {
+			size[e]++
 		}
 	}
-	return into
+	total := 0
+	for _, n := range size {
+		total += n
+	}
+	seqs, inst := make([]int32, total), make([][]int32, total)
+	off := 0
+	for e, n := range size {
+		out[e] = vlist{seqs: seqs[off : off : off+n], inst: inst[off : off : off+n]}
+		if e < len(prev) {
+			out[e].seqs = append(out[e].seqs, prev[e].seqs...)
+			out[e].inst = append(out[e].inst, prev[e].inst...)
+		}
+		off += n
+	}
+	for g := from; g < db.Size(); g++ {
+		seq := db.Sequences[g]
+		for i, e := range seq.Events() {
+			l := &out[e]
+			l.seqs = append(l.seqs, int32(g))
+			l.inst = append(l.inst, seq.InstancesAt(i))
+		}
+	}
+	return out
 }
 
 // SeqCounts returns the per-shard sequence counts.
@@ -115,14 +160,14 @@ func PrepareShards(shards []*events.DB) (*ShardedView, error) {
 			}
 		}
 	}
-	merged, globalIdx, err := events.MergeShards(shards)
+	merged, _, err := events.MergeShards(shards)
 	if err != nil {
 		return nil, err
 	}
 	if merged.Size() == 0 {
 		return nil, fmt.Errorf("core: empty sequence database")
 	}
-	return &ShardedView{Shards: shards, Merged: merged, globalIdx: globalIdx}, nil
+	return &ShardedView{Shards: shards, Merged: merged}, nil
 }
 
 // PrepareShardsDelta builds the ShardedView of a shard set that extends a
@@ -130,10 +175,10 @@ func PrepareShards(shards []*events.DB) (*ShardedView, error) {
 // order under the round-robin discipline) are shared by pointer with prev,
 // everything after them is new or re-cut. When prev carries a completed L1
 // index, the new view starts with that index patched instead of cold: the
-// per-event lists are truncated to entries below stable (copy-on-append,
-// prev's lists stay intact) and only the tail sequences are rescanned, so
-// the next mine's L1 pass re-verifies just the sequences the append
-// touched. Without a usable prev index the view is simply cold and the
+// per-event lists are truncated to entries below stable and only the tail
+// sequences are rescanned (scanL1Lists copies the kept prefixes, so
+// prev's lists stay intact), and the next mine's L1 pass reads the
+// patched index. Without a usable prev index the view is simply cold and the
 // next mine scans — and memoizes — from scratch. Either way the resulting
 // supports are byte-identical to a full PrepareShards + scan.
 func PrepareShardsDelta(prev *ShardedView, shards []*events.DB, stable int) (*ShardedView, error) {
@@ -148,17 +193,12 @@ func PrepareShardsDelta(prev *ShardedView, shards []*events.DB, stable int) (*Sh
 	if !ok {
 		return v, nil
 	}
-	lists := make(map[events.EventID][]int32, len(pl))
-	for e, idx := range pl {
-		cut := sort.Search(len(idx), func(i int) bool { return idx[i] >= int32(stable) })
-		if cut == 0 {
-			continue
-		}
-		// Full slice expression: appending the rescanned tail must not
-		// grow into prev's backing array.
-		lists[e] = idx[:cut:cut]
+	kept := make([]vlist, len(pl))
+	for e, l := range pl {
+		cut := sort.Search(len(l.seqs), func(i int) bool { return l.seqs[i] >= int32(stable) })
+		kept[e] = vlist{seqs: l.seqs[:cut], inst: l.inst[:cut]}
 	}
-	v.l1 = scanL1Lists(v.Merged, stable, lists)
+	v.l1 = scanL1Lists(v.Merged, stable, kept)
 	v.l1set.Store(true)
 	return v, nil
 }
@@ -198,7 +238,11 @@ func MineShardedView(ctx context.Context, v *ShardedView, cfg Config) (*Result, 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	return newMiner(ctx, v, cfg).mineAll(ctx)
+}
 
+// newMiner sets up the run state of one mine over v.
+func newMiner(ctx context.Context, v *ShardedView, cfg Config) *miner {
 	m := &miner{
 		db:      v.Merged,
 		view:    v,
@@ -215,98 +259,30 @@ func MineShardedView(ctx context.Context, v *ShardedView, cfg Config) (*Result, 
 		m.stats.Shards = len(v.Shards)
 		m.stats.ShardSequences = v.SeqCounts()
 	}
-	return m.mineAll(ctx)
+	return m
 }
 
-// scanSingles is the L1 support scan: it builds the support bitmap of
-// every vocabulary event. Each shard scans only its own sequences, in
-// parallel, and returns per event the global indexes of the sequences
-// containing it (bounded by the shard's own size — full-width bitmaps per
-// shard would multiply the transient L1 memory by K). The serial merge
-// sets the bits in shard order; a sequence lives in exactly one shard, so
-// the merge is a disjoint union.
-//
-// The view's L1 index memo short-circuits the scan: when a previous run
-// (or a delta preparation) installed the per-event occurrence lists, the
-// bitmaps rebuild directly from them. A cold scan installs the memo on
-// completion, so the second mine over any view — and the first mine after
-// an append, via PrepareShardsDelta's patched index — skips the walk.
+// scanSingles is the L1 support scan. It takes the view's vertical index
+// — memoized, or built now from the merged sequences and installed — and
+// derives every event's support bitmap from it, so a node bitmap can
+// never name a sequence that is missing from its events' lists. The scan
+// is one walk over each sequence's distinct events, which its own index
+// already lists, so it runs serially; the second mine over any view, and
+// the first mine after an append (via PrepareShardsDelta's patched
+// index), skip even that walk.
 func (m *miner) scanSingles() {
-	vocabSize := m.db.Vocab.Size()
-	m.eventSupp = make(map[events.EventID]int, vocabSize)
-	m.eventBm = make(map[events.EventID]*bitmap.Bitmap, vocabSize)
-
-	if lists, ok := m.view.l1Peek(); ok {
-		for id := 0; id < vocabSize; id++ {
-			e := events.EventID(id)
-			idx := lists[e]
-			bm := bitmap.New(m.n)
-			for _, g := range idx {
-				bm.Set(int(g))
-			}
-			m.eventBm[e] = bm
-			// One list entry per containing sequence, so the length is
-			// the support.
-			m.eventSupp[e] = len(idx)
+	lists, ok := m.view.l1Peek()
+	if !ok {
+		lists = scanL1Lists(m.db, 0, nil)
+		m.view.offerL1(lists)
+	}
+	m.l1 = lists
+	m.eventBm = make([]*bitmap.Bitmap, len(lists))
+	for e, l := range lists {
+		bm := bitmap.New(m.n)
+		for _, g := range l.seqs {
+			bm.Set(int(g))
 		}
-		return
+		m.eventBm[e] = bm
 	}
-
-	shardIdx := make([]int, len(m.view.Shards))
-	for i := range shardIdx {
-		shardIdx[i] = i
-	}
-	// hit records that global sequence g contains event e.
-	type hit struct {
-		e events.EventID
-		g int32
-	}
-	partials := runParallel(m.done, m.workers(), &m.scrPool, shardIdx, func(_ *scratch, s int) []hit {
-		var p []hit
-		for j, seq := range m.view.Shards[s].Sequences {
-			g := int32(m.view.globalIdx[s][j])
-			for _, e := range seq.Events() {
-				p = append(p, hit{e, g})
-			}
-		}
-		return p
-	})
-
-	for id := 0; id < vocabSize; id++ {
-		m.eventBm[events.EventID(id)] = bitmap.New(m.n)
-	}
-	for _, p := range partials {
-		for _, h := range p {
-			m.eventBm[h.e].Set(int(h.g))
-		}
-	}
-	total := 0
-	for id := 0; id < vocabSize; id++ {
-		e := events.EventID(id)
-		m.eventSupp[e] = m.eventBm[e].Count()
-		total += m.eventSupp[e]
-	}
-
-	// Memoize the completed scan on the view. A cancelled runParallel may
-	// have produced partial results; cancellation closes done permanently,
-	// so seeing it still open here proves the scan ran to completion.
-	select {
-	case <-m.done:
-		return
-	default:
-	}
-	// All lists share one backing array; each is capped at its own length,
-	// so appending to one (PrepareShardsDelta) copies instead of growing
-	// into its neighbour.
-	lists := make(map[events.EventID][]int32, vocabSize)
-	backing := make([]int32, 0, total)
-	for id := 0; id < vocabSize; id++ {
-		e := events.EventID(id)
-		if m.eventSupp[e] > 0 {
-			from := len(backing)
-			backing = m.eventBm[e].AppendIndices(backing)
-			lists[e] = backing[from:len(backing):len(backing)]
-		}
-	}
-	m.view.offerL1(lists)
 }

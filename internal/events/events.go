@@ -6,6 +6,7 @@ package events
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ftpm/internal/temporal"
@@ -105,17 +106,43 @@ type Sequence struct {
 	Window    temporal.Interval
 	Instances []Instance
 
-	byEvent map[EventID][]int32 // event -> indexes into Instances
+	// The per-event index, in CSR form: evs holds the distinct events in
+	// id order, and the instances of evs[i] are inst[offs[i]:offs[i+1]],
+	// ascending (chronological).
+	evs  []EventID
+	offs []int32
+	inst []int32
 }
 
 // sortAndIndex normalizes the instance order and (re)builds the per-event
 // index. It must be called after constructing or mutating Instances.
 func (s *Sequence) sortAndIndex() {
 	sort.Slice(s.Instances, func(i, j int) bool { return s.Instances[i].Before(s.Instances[j]) })
-	s.byEvent = make(map[EventID][]int32)
+	// One packed event<<32 | index key per instance: sorting the keys
+	// groups the instances by event and keeps each group chronological,
+	// without a comparison closure.
+	keys := make([]uint64, len(s.Instances))
 	for i, in := range s.Instances {
-		s.byEvent[in.Event] = append(s.byEvent[in.Event], int32(i))
+		keys[i] = uint64(uint32(in.Event))<<32 | uint64(i)
 	}
+	slices.Sort(keys)
+	distinct := 0
+	for i, k := range keys {
+		if i == 0 || k>>32 != keys[i-1]>>32 {
+			distinct++
+		}
+	}
+	s.evs = make([]EventID, 0, distinct)
+	s.offs = make([]int32, 0, distinct+1)
+	s.inst = make([]int32, len(keys))
+	for i, k := range keys {
+		if i == 0 || k>>32 != keys[i-1]>>32 {
+			s.evs = append(s.evs, EventID(k>>32))
+			s.offs = append(s.offs, int32(i))
+		}
+		s.inst[i] = int32(uint32(k))
+	}
+	s.offs = append(s.offs, int32(len(keys)))
 }
 
 // NewSequence builds a sequence from instances (any order).
@@ -126,26 +153,33 @@ func NewSequence(id int, window temporal.Interval, instances []Instance) *Sequen
 }
 
 // InstancesOf returns the indexes (into Instances) of all instances of the
-// event, in chronological order.
-func (s *Sequence) InstancesOf(e EventID) []int32 { return s.byEvent[e] }
-
-// Events returns the distinct events occurring in the sequence, in id
-// order. The L1 scan uses it to visit each sequence once instead of
-// probing every vocabulary entry against every sequence. The callers do
-// not need the ordering (bitmap sets commute), but a deterministic result
-// keeps the method usable for display and tests; the sort is over the
-// distinct events of one sequence, negligible next to the scan itself.
-func (s *Sequence) Events() []EventID {
-	out := make([]EventID, 0, len(s.byEvent))
-	for e := range s.byEvent {
-		out = append(out, e)
+// event, in chronological order. The result is capped at its length, so
+// appending to it never overwrites another event's list.
+func (s *Sequence) InstancesOf(e EventID) []int32 {
+	i, ok := slices.BinarySearch(s.evs, e)
+	if !ok {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return s.InstancesAt(i)
 }
 
+// InstancesAt returns the instances of the i-th distinct event, Events()[i],
+// like InstancesOf but without the search.
+func (s *Sequence) InstancesAt(i int) []int32 {
+	lo, hi := s.offs[i], s.offs[i+1]
+	return s.inst[lo:hi:hi]
+}
+
+// Events returns the distinct events occurring in the sequence, in id
+// order. It is the index's own array, capped at its length: callers must
+// not modify its elements.
+func (s *Sequence) Events() []EventID { return s.evs[:len(s.evs):len(s.evs)] }
+
 // Has reports whether at least one instance of e occurs in the sequence.
-func (s *Sequence) Has(e EventID) bool { return len(s.byEvent[e]) > 0 }
+func (s *Sequence) Has(e EventID) bool {
+	_, ok := slices.BinarySearch(s.evs, e)
+	return ok
+}
 
 // Len returns the number of instances (|S| of Def 3.9).
 func (s *Sequence) Len() int { return len(s.Instances) }
@@ -169,7 +203,8 @@ type Stats struct {
 	MaxInstancesPerEvent int
 }
 
-// Stats computes the Table IV characteristics of the database.
+// Stats computes the Table IV characteristics of the database. Every
+// instance's event must be defined in db.Vocab.
 func (db *DB) Stats() Stats {
 	st := Stats{NumSequences: db.Size(), NumDistinctEvents: db.Vocab.Size()}
 	vars := make(map[string]bool)
@@ -177,17 +212,16 @@ func (db *DB) Stats() Stats {
 		vars[d.Series] = true
 	}
 	st.NumVariables = len(vars)
-	perEvent := make(map[EventID]int)
+	perEvent := make([]int, db.Vocab.Size())
 	for _, s := range db.Sequences {
 		st.TotalInstances += s.Len()
-		for e, idx := range s.byEvent {
-			perEvent[e] += len(idx)
+		for i, e := range s.evs {
+			perEvent[e] += len(s.InstancesAt(i))
 		}
 	}
 	if st.NumSequences > 0 {
 		st.AvgInstancesPerSeq = float64(st.TotalInstances) / float64(st.NumSequences)
 	}
-	//ftpm:ordered max over map values is commutative; no iteration order reaches the result
 	for _, n := range perEvent {
 		if n > st.MaxInstancesPerEvent {
 			st.MaxInstancesPerEvent = n

@@ -2,6 +2,7 @@ package hpg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ftpm/internal/bitmap"
@@ -194,18 +195,12 @@ func (l *Level) Remove(key string) {
 // DistinctEvents returns the distinct single events appearing in the
 // level's nodes (the set D_{k-1} of Lemma 5's Filtered1Freq).
 func (l *Level) DistinctEvents() []events.EventID {
-	seen := make(map[events.EventID]bool)
+	var out []events.EventID
 	for _, n := range l.nodes {
-		for _, e := range n.Events {
-			seen[e] = true
-		}
+		out = append(out, n.Events...)
 	}
-	out := make([]events.EventID, 0, len(seen))
-	for e := range seen {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Graph is the Hierarchical Pattern Graph: Levels[0] is L1.

@@ -155,13 +155,13 @@
 // shard.
 //
 // Mining: every job mines the geometry's merged view through one code
-// path. Only the cold L1 support scan runs per shard; L2 and later levels
-// verify candidates over the merged view. Support/confidence thresholds
-// apply once, to global counts, so mined patterns are byte-identical for
-// every K.
+// path: L1 reads the view's memoized vertical index, and L2 and later
+// levels verify candidates over the merged view. Support/confidence
+// thresholds apply once, to global counts, so mined patterns are
+// byte-identical for every K.
 //
 // Picking K: the default GOMAXPROCS is right; shards parallelize
-// ingestion and the cold L1 scan, and K=1 is a one-shard view. Dataset responses expose "shards" and the
+// ingestion, and K=1 is a one-shard view. Dataset responses expose "shards" and the
 // per-shard sequence counts of the most recently mined geometry, job
 // summaries report the shard split, granted workers and cache hits, and
 // every job response carries the current queue depth; GET /metrics adds

@@ -232,7 +232,7 @@ func extends(old, next SymbolSource) error {
 // width. The new handle's first DSEQ access converts incrementally: the
 // window prefix untouched by the appended samples is shared by pointer
 // with this handle's memoized conversion (which stays fully usable for
-// in-flight mines), and the L1 occurrence index is patched rather than
+// in-flight mines), and the L1 vertical index is patched rather than
 // rebuilt. The NMI tables are not carried over — they depend on every
 // sample, so next starts with fresh ones.
 //
