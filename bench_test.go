@@ -350,26 +350,16 @@ func BenchmarkAppendVsReupload(b *testing.B) {
 }
 
 // benchDatasetRecord mirrors the wire shape of the mining service's
-// persisted dataset record — enough of it to plant either storage mode's
-// record in a fresh write-ahead log.
+// persisted dataset record — enough of it to plant one in a fresh
+// write-ahead log.
 type benchDatasetRecord struct {
-	ID          string            `json:"id"`
-	Name        string            `json:"name"`
-	CreatedAt   time.Time         `json:"created_at"`
-	Shards      int               `json:"shards"`
-	Series      []benchSeriesJSON `json:"series,omitempty"`
-	Segments    []string          `json:"segments,omitempty"`
-	Fingerprint string            `json:"fingerprint,omitempty"`
-	Samples     int               `json:"samples,omitempty"`
-}
-
-// benchSeriesJSON is the legacy full-payload series record.
-type benchSeriesJSON struct {
-	Name     string   `json:"name"`
-	Start    int64    `json:"start"`
-	Step     int64    `json:"step"`
-	Alphabet []string `json:"alphabet"`
-	Symbols  []int    `json:"symbols"`
+	ID          string    `json:"id"`
+	Name        string    `json:"name"`
+	CreatedAt   time.Time `json:"created_at"`
+	Shards      int       `json:"shards"`
+	Segments    []string  `json:"segments,omitempty"`
+	Fingerprint string    `json:"fingerprint,omitempty"`
+	Samples     int       `json:"samples,omitempty"`
 }
 
 // timeRestart measures server.New over a prepared data directory — the
@@ -400,15 +390,10 @@ func timeRestart(b *testing.B, dir string, wantSamples int) {
 	}
 }
 
-// BenchmarkRestartRecovery measures what out-of-core segment storage
-// saves at restart: "payload" restores a dataset from a legacy
-// full-payload WAL record (JSON symbol arrays decoded, the symbolic
-// database rebuilt and re-fingerprinted — the pre-segment cost),
-// "segment" restores the same content from a metadata record plus a
-// sealed columnar segment file, which is an mmap and a footer read. CI
-// asserts segment restart is at least 5x faster than payload restart on
-// any core count (the "always" speedup spec in
-// .github/workflows/ci.yml).
+// BenchmarkRestartRecovery measures a durable server's restart over one
+// large dataset: "segment" restores it from a metadata record plus a
+// sealed columnar segment file, which is an mmap and a footer read, so
+// the cost does not grow with the sample count.
 func BenchmarkRestartRecovery(b *testing.B) {
 	const (
 		nSeries  = 4
@@ -435,17 +420,6 @@ func BenchmarkRestartRecovery(b *testing.B) {
 		}
 	}
 
-	b.Run("payload", func(b *testing.B) {
-		dir := b.TempDir()
-		rec := benchDatasetRecord{ID: "ds-1", Name: "restart", CreatedAt: created, Shards: 1,
-			Series: make([]benchSeriesJSON, nSeries)}
-		for i, s := range sdb.Series {
-			rec.Series[i] = benchSeriesJSON{Name: s.Name, Start: int64(s.Start), Step: int64(s.Step),
-				Alphabet: s.Alphabet, Symbols: s.Symbols}
-		}
-		plant(b, dir, rec)
-		timeRestart(b, dir, nSamples)
-	})
 	b.Run("segment", func(b *testing.B) {
 		dir := b.TempDir()
 		segDir := filepath.Join(dir, "segments")

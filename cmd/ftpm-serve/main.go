@@ -20,11 +20,12 @@
 // when the process died re-queue against their tenant and re-run from
 // scratch (mining is deterministic, so the re-run yields the same result
 // document), and job event ids continue past their pre-restart values so
-// Last-Event-ID resume survives the bounce. Without -data the service is
-// purely in-memory, as before.
+// Last-Event-ID resume survives the bounce. A data directory written
+// before segment storage (full-payload dataset records) is refused at
+// startup with an error naming the dataset. Without -data the service is
+// purely in-memory.
 //
-// Quick tour with curl (the unversioned paths still answer, with a
-// Deprecation header pointing at their /v1 successor):
+// Quick tour with curl (every route lives under /v1):
 //
 //	curl -X POST --data-binary @energy.csv 'localhost:8080/v1/datasets?name=energy&threshold=0.05'
 //	curl -X POST -d '{"dataset_id":"ds-1","min_support":0.2,"min_confidence":0.5,"num_windows":24}' localhost:8080/v1/jobs
@@ -63,10 +64,10 @@
 //	  '{"time":86400,"values":{"Kitchen":0.07,"Toaster":0.0}}'
 //	curl -X POST --data-binary @delta.csv 'localhost:8080/v1/datasets/ds-1/append?format=csv'
 //
-// /healthz (liveness) answers 200 while the process serves HTTP;
-// /readyz (readiness) answers 200 only while the server accepts work —
-// not shutting down and not in degraded read-only mode after a fatal
-// storage fault. Point load-balancer readiness checks at /readyz;
+// /v1/healthz (liveness) answers 200 while the process serves HTTP;
+// /v1/readyz (readiness) answers 200 only while the server accepts work
+// — not shutting down and not in degraded read-only mode after a fatal
+// storage fault. Point load-balancer readiness checks at /v1/readyz;
 // -ready-timeout additionally gates startup on the same signal.
 //
 // See internal/server for the full API.
@@ -124,7 +125,7 @@ func main() {
 		tenantWeights = flag.String("tenant-weights", "", "fair-share weights as name=weight,... (unlisted tenants weigh 1)")
 		eventRing     = flag.Int("event-ring", 0, "job events retained for stream replay/resume (0 = 1024)")
 		maxStreamSubs = flag.Int("max-stream-subscribers", 0, "concurrent firehose (/v1/events) streams allowed; connections beyond it get 429 (0 = unlimited)")
-		readyTimeout  = flag.Duration("ready-timeout", 0, "max time to wait for the server to report ready before serving; 0 skips the gate (GET /readyz polls the same signal)")
+		readyTimeout  = flag.Duration("ready-timeout", 0, "max time to wait for the server to report ready before serving; 0 skips the gate (GET /v1/readyz polls the same signal)")
 	)
 	flag.Parse()
 

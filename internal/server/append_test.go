@@ -65,7 +65,7 @@ func appendNDJSON(rows [][]int, lo, hi int) string {
 // response body (a DatasetInfo on 200, an error document otherwise).
 func postAppend(t *testing.T, base, id, format, body string) (int, []byte) {
 	t.Helper()
-	url := base + "/datasets/" + id + "/append"
+	url := base + "/v1/datasets/" + id + "/append"
 	if format != "" {
 		url += "?format=" + format
 	}
@@ -119,7 +119,7 @@ func appendVariants(dsID string) []MiningRequest {
 func resultBytes(t *testing.T, base string, req MiningRequest) []byte {
 	t.Helper()
 	job := mineDone(t, base, req)
-	code, doc := getRaw(t, base+"/jobs/"+job.ID+"/result")
+	code, doc := getRaw(t, base+"/v1/jobs/"+job.ID+"/result")
 	if code != http.StatusOK {
 		t.Fatalf("result: status %d", code)
 	}
@@ -195,7 +195,7 @@ func TestAppendMetricsAndGenerationGauge(t *testing.T) {
 	mustAppend(t, ts.URL, ds.ID, "csv", appendCSV(rows, 100, 120))
 
 	var m MetricsJSON
-	if code := doJSON(t, http.MethodGet, ts.URL+"/metrics", nil, &m); code != http.StatusOK {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/metrics", nil, &m); code != http.StatusOK {
 		t.Fatalf("metrics: status %d", code)
 	}
 	if m.Appends.AppendsTotal != 2 || m.Appends.AppendRowsTotal != 30 {
@@ -253,7 +253,7 @@ func TestAppendValidation(t *testing.T) {
 	}
 
 	var info DatasetInfo
-	if code := doJSON(t, http.MethodGet, ts.URL+"/datasets/"+ds.ID, nil, &info); code != http.StatusOK {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/datasets/"+ds.ID, nil, &info); code != http.StatusOK {
 		t.Fatalf("dataset after rejected appends: status %d", code)
 	}
 	if info.Samples != 60 || info.Generation != 0 {
@@ -279,10 +279,11 @@ func TestAppendRemovedDataset(t *testing.T) {
 	if !ok {
 		t.Fatal("dataset missing")
 	}
-	if code := doJSON(t, http.MethodDelete, ts.URL+"/datasets/"+ds.ID, nil, nil); code != http.StatusNoContent {
+	if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/datasets/"+ds.ID, nil, nil); code != http.StatusNoContent {
 		t.Fatalf("delete: status %d", code)
 	}
-	next := held.nextGen(held.view().sdb)
+	g := held.view()
+	next := held.nextGen(g.src, nil, 0, g.fingerprint)
 	if srv.reg.appendDataset(held, next, appendRecord{ID: held.id, Gen: next.gen}) {
 		t.Fatal("appendDataset committed to a removed dataset")
 	}
@@ -341,14 +342,14 @@ func TestConcurrentAppendsVsMines(t *testing.T) {
 				r := req[(w+2*i)%len(req)]
 				body, _ := json.Marshal(r)
 				var job JobInfo
-				if code := doJSON(t, http.MethodPost, ts.URL+"/jobs", bytes.NewReader(body), &job); code != http.StatusAccepted {
+				if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", bytes.NewReader(body), &job); code != http.StatusAccepted {
 					errs <- fmt.Errorf("miner %d: submit status %d", w, code)
 					return
 				}
 				deadline := time.Now().Add(30 * time.Second)
 				for {
 					var info JobInfo
-					doJSON(t, http.MethodGet, ts.URL+"/jobs/"+job.ID, nil, &info)
+					doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+job.ID, nil, &info)
 					if info.State.Terminal() {
 						if info.State != JobDone {
 							errs <- fmt.Errorf("miner %d: job %s ended %s (%s)", w, job.ID, info.State, info.Error)
@@ -371,7 +372,7 @@ func TestConcurrentAppendsVsMines(t *testing.T) {
 	}
 
 	var info DatasetInfo
-	doJSON(t, http.MethodGet, ts.URL+"/datasets/"+ds.ID, nil, &info)
+	doJSON(t, http.MethodGet, ts.URL+"/v1/datasets/"+ds.ID, nil, &info)
 	if info.Samples != 360 || info.Generation != 4 {
 		t.Fatalf("after concurrent run: %+v, want 360 samples at generation 4", info)
 	}

@@ -18,9 +18,10 @@
 //     — shares the same cached artifacts and a repeat A-HTPGM job
 //     recomputes neither the conversion nor the O(n²) NMI analysis.
 //
-//     Dataset content lives in immutable generations (append.go):
-//     POST /datasets/{id}/append extends a dataset with NDJSON rows or a
-//     CSV chunk without re-uploading it. Rows must continue the sampling
+//     Dataset content lives in immutable generations (append.go), each a
+//     SymbolSource chain: the upload, then one delta per append.
+//     POST /v1/datasets/{id}/append extends a dataset with NDJSON rows or
+//     a CSV chunk without re-uploading it. Rows must continue the sampling
 //     grid exactly (gaps, duplicates, ragged rows, unknown series all
 //     400 with the dataset untouched — appends are all-or-nothing);
 //     numeric values symbolize against the upload's threshold and
@@ -67,11 +68,13 @@
 //     dseq_cache / nmi_cache / result_cache booleans.
 //
 //   - An optional persistence layer (persist.go over internal/server/
-//     store): with Options.DataDir set, dataset ingestions/appends/
-//     removals and job submissions/terminal transitions (summary and
-//     result document included) are appended to a fsync'd write-ahead
-//     log with a CRC per
-//     record, and compacted into an atomically-replaced snapshot every
+//     store): with Options.DataDir set, every part of a dataset
+//     generation (the upload, each append delta) is sealed into an
+//     mmap'd columnar segment file, and dataset ingestions/appends/
+//     removals — as segment references — and job submissions/terminal
+//     transitions (summary and result document included) are appended
+//     to a fsync'd write-ahead log with a CRC per record, and compacted
+//     into an atomically-replaced snapshot every
 //     Options.SnapshotEvery records (default 256) or 128 MiB of WAL,
 //     whichever comes first, plus at clean shutdown and at startup when
 //     the replayed WAL is already oversized. Compaction runs on a
@@ -94,15 +97,16 @@
 //     because mining is deterministic; only a live job whose dataset did
 //     not survive the crash comes back failed with a distinguishable
 //     "lost to restart" error. A torn WAL tail is truncated, not fatal;
-//     a damaged snapshot is ignored with a loud log line. DataDir ""
-//     keeps the service purely in-memory with zero new I/O. One server
+//     a damaged snapshot is ignored with a loud log line. A data
+//     directory written before segment storage (full-payload dataset
+//     records) is refused at startup with an error naming the dataset.
+//     DataDir "" keeps every part on the heap, with zero I/O. One server
 //     process owns a data directory at a time (there is no inter-process
 //     locking).
 //
 //   - A versioned JSON/NDJSON HTTP API (server.go) built on net/http
-//     only. Routes live under /v1; the original unversioned paths keep
-//     answering identically but carry a Deprecation header and a Link to
-//     their /v1 successor (the event streams are /v1-only):
+//     only. Every route lives under /v1; any other path is a 404 with
+//     the error envelope:
 //
 //     POST   /v1/datasets                upload a CSV dataset (?name=, ?format=numeric|symbolic, ?threshold=, ?shards=)
 //     GET    /v1/datasets                list datasets (?limit=, ?page_token=)
@@ -164,7 +168,7 @@
 // ingestion, and K=1 is a one-shard view. Dataset responses expose "shards" and the
 // per-shard sequence counts of the most recently mined geometry, job
 // summaries report the shard split, granted workers and cache hits, and
-// every job response carries the current queue depth; GET /metrics adds
+// every job response carries the current queue depth; GET /v1/metrics adds
 // the service-wide view — queue depth, job-state counts, per-job level
 // timings sourced from the miner's Progress callback, the cumulative
 // dseq/nmi/result cache counters, the appends_total/append_rows_total

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"ftpm"
@@ -30,7 +31,8 @@ func fuzzBaseSDB(tb testing.TB) *ftpm.SymbolicDB {
 // never panic, and on acceptance the parsed state must uphold the
 // invariants the rest of the append path builds on — rectangular
 // columns, in-range symbol ids, alphabets only ever extended — and
-// extend() must yield a database that is a valid temporal extension.
+// the delta chained after the base must yield exactly the base samples
+// followed by the parsed ones.
 func FuzzAppendParser(f *testing.F) {
 	// The seed corpus mirrors the handwritten 400 table: well-formed
 	// bodies, duplicate and gapped timestamps, mixed arity, unknown and
@@ -101,15 +103,35 @@ func FuzzAppendParser(f *testing.F) {
 		if p.rows == 0 {
 			return // the handler 400s row-less bodies before extending
 		}
-		next, err := p.extend(sdb)
+		delta, err := p.deltaDB()
 		if err != nil {
-			t.Fatalf("accepted body failed to extend: %v", err)
+			t.Fatalf("accepted body failed to build its delta: %v", err)
 		}
+		next := &chainSource{base: sdb, tail: delta}
 		if next.Len() != sdb.Len()+p.rows {
 			t.Fatalf("extended to %d samples, want %d", next.Len(), sdb.Len()+p.rows)
 		}
+		// The chain's maximal runs expand to the base samples followed by
+		// the parsed column.
+		var runs []ftpm.Run
+		for i, s := range sdb.Series {
+			want := append(append([]int(nil), s.Symbols...), p.cols[i]...)
+			var got []int
+			runs = next.AppendRuns(i, runs[:0])
+			for j, r := range runs {
+				if j > 0 && runs[j-1].Symbol == r.Symbol {
+					t.Fatalf("series %q: runs %d and %d are not maximal", s.Name, j-1, j)
+				}
+				for k := r.First; k <= r.Last; k++ {
+					got = append(got, r.Symbol)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("series %q: chained symbols %v, want %v", s.Name, got, want)
+			}
+		}
 		if sdb.Len() != 4 {
-			t.Fatal("extend mutated the base database")
+			t.Fatal("building the delta mutated the base database")
 		}
 	})
 }

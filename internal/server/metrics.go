@@ -189,7 +189,7 @@ type MetricsJSON struct {
 }
 
 // metricsJobWindow bounds how many recent jobs the metrics document
-// details; the full job list stays on GET /jobs.
+// details; the full job list stays on GET /v1/jobs.
 const metricsJobWindow = 32
 
 // metrics assembles the service metrics document.

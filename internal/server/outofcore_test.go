@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -11,6 +12,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ftpm"
+	"ftpm/internal/server/store"
 )
 
 // Out-of-core storage end-to-end tests: mining from mmap'd segments must
@@ -78,11 +82,11 @@ func TestSegmentMiningByteIdentical(t *testing.T) {
 			if jobSeg.ID != jobMem.ID {
 				t.Fatalf("job ids diverged: %s vs %s", jobSeg.ID, jobMem.ID)
 			}
-			code, docSeg := getRaw(t, tsSeg.URL+"/jobs/"+jobSeg.ID+"/result")
+			code, docSeg := getRaw(t, tsSeg.URL+"/v1/jobs/"+jobSeg.ID+"/result")
 			if code != 200 {
 				t.Fatalf("segment result: status %d", code)
 			}
-			code, docMem := getRaw(t, tsMem.URL+"/jobs/"+jobMem.ID+"/result")
+			code, docMem := getRaw(t, tsMem.URL+"/v1/jobs/"+jobMem.ID+"/result")
 			if code != 200 {
 				t.Fatalf("memory result: status %d", code)
 			}
@@ -106,7 +110,7 @@ func TestFreshUploadWALIsMetadataOnly(t *testing.T) {
 	dsMem := uploadCSV(t, tsMem.URL, "name=wal&threshold=0.5&shards=1", csv)
 
 	var m MetricsJSON
-	if code := doJSON(t, http.MethodGet, tsSeg.URL+"/metrics", nil, &m); code != 200 {
+	if code := doJSON(t, http.MethodGet, tsSeg.URL+"/v1/metrics", nil, &m); code != 200 {
 		t.Fatalf("metrics: status %d", code)
 	}
 	if m.Persistence == nil || m.Persistence.WALBytes <= 0 {
@@ -120,13 +124,91 @@ func TestFreshUploadWALIsMetadataOnly(t *testing.T) {
 	if !ok {
 		t.Fatal("memory dataset missing")
 	}
-	legacy, err := json.Marshal(datasetRecordOf(d))
+	legacy, err := json.Marshal(legacyPayloadRecordOf(d.id, d.view().src.(*ftpm.SymbolicDB)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if int64(len(legacy)) < 10*m.Persistence.WALBytes {
 		t.Fatalf("WAL after fresh upload = %d bytes, legacy payload record = %d bytes; want >= 10x shrink",
 			m.Persistence.WALBytes, len(legacy))
+	}
+}
+
+// legacyPayloadRecord is the full-payload dataset record shape that
+// data directories written before segment storage carry: every symbol
+// of every series inline in the WAL record.
+type legacyPayloadRecord struct {
+	ID        string         `json:"id"`
+	Name      string         `json:"name"`
+	CreatedAt time.Time      `json:"created_at"`
+	Shards    int            `json:"shards"`
+	Series    []legacySeries `json:"series"`
+}
+
+type legacySeries struct {
+	Name     string   `json:"name"`
+	Start    int64    `json:"start"`
+	Step     int64    `json:"step"`
+	Alphabet []string `json:"alphabet"`
+	Symbols  []int    `json:"symbols"`
+}
+
+func legacyPayloadRecordOf(id string, sdb *ftpm.SymbolicDB) legacyPayloadRecord {
+	rec := legacyPayloadRecord{ID: id, Name: "legacy", Shards: 1}
+	for _, s := range sdb.Series {
+		rec.Series = append(rec.Series, legacySeries{Name: s.Name, Start: int64(s.Start), Step: int64(s.Step),
+			Alphabet: s.Alphabet, Symbols: s.Symbols})
+	}
+	return rec
+}
+
+// TestLegacyPayloadRecordRefused pins what happens to a data directory
+// written before segment storage: the restart refuses, naming the
+// dataset, instead of dropping it — a later compaction would otherwise
+// lose the payload for good — and leaves the log and the segments
+// directory as they were.
+func TestLegacyPayloadRecordRefused(t *testing.T) {
+	dir := t.TempDir()
+	data, err := json.Marshal(legacyPayloadRecordOf("ds-3", fuzzBaseSDB(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, _, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(kindDatasetAdded, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, err := New(Options{Workers: 1, DataDir: dir})
+	if err == nil {
+		srv.Close()
+		t.Fatal("New accepted a full-payload dataset record")
+	}
+	if !strings.Contains(err.Error(), "ds-3") {
+		t.Fatalf("New error %q does not name the dataset", err)
+	}
+
+	l, rec, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if rec.Snapshot != nil || len(rec.Records) != 1 ||
+		rec.Records[0].Kind != kindDatasetAdded || !bytes.Equal(rec.Records[0].Data, data) {
+		t.Fatalf("log after refused restart = snapshot %d bytes, %d records; want exactly the planted record",
+			len(rec.Snapshot), len(rec.Records))
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, "segments"))
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Fatalf("refused restart created segment files: %v", entries)
 	}
 }
 
@@ -163,7 +245,7 @@ func TestOrphanSegmentCleanupAndAppendRetry(t *testing.T) {
 
 	_, ts2 := testServer(t, Options{Workers: 1, DataDir: dir})
 	var got DatasetInfo
-	if code := doJSON(t, http.MethodGet, ts2.URL+"/datasets/"+ds.ID, nil, &got); code != 200 {
+	if code := doJSON(t, http.MethodGet, ts2.URL+"/v1/datasets/"+ds.ID, nil, &got); code != 200 {
 		t.Fatalf("dataset after restart: status %d", code)
 	}
 	if got.Samples != ds.Samples || got.Generation != 0 {
@@ -269,7 +351,7 @@ func TestFirehoseSubscriberQuota(t *testing.T) {
 	}
 
 	var m MetricsJSON
-	if code := doJSON(t, http.MethodGet, ts.URL+"/metrics", nil, &m); code != 200 {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/metrics", nil, &m); code != 200 {
 		t.Fatalf("metrics: status %d", code)
 	}
 	if m.Events.RejectedStreams < 1 || m.Events.FirehoseStreams != 1 {

@@ -196,17 +196,3 @@ func TestPatternsPageTokenTiling(t *testing.T) {
 		t.Fatalf("page offset = %d, want the token's 2 over the query's 0", page.Offset)
 	}
 }
-
-// legacy pagination: the unversioned list endpoints answer with the same
-// paged bodies, so old clients keep working through the alias.
-func TestLegacyListsStayPaged(t *testing.T) {
-	_, ts := testServer(t, Options{Workers: 1})
-	uploadCSV(t, ts.URL, "name=energy&threshold=0.5", smallCSV())
-	var page datasetsPage
-	if code := doJSON(t, http.MethodGet, ts.URL+"/datasets", nil, &page); code != http.StatusOK {
-		t.Fatalf("legacy datasets list: status %d", code)
-	}
-	if len(page.Datasets) != 1 || page.NextPageToken != "" {
-		t.Fatalf("legacy list = %+v, want the one dataset and no token", page)
-	}
-}

@@ -15,11 +15,11 @@ import (
 )
 
 // Persistence layer: the mining service's registry and job log survive
-// restarts. Dataset payloads live out-of-core: an ingestion seals the
-// symbolized columns into an immutable segment file and an append seals
-// a delta segment (internal/server/store's columnar format), so the
-// write-ahead log under Options.DataDir records only metadata plus
-// segment references — dataset ingested (shard width, fingerprint,
+// restarts. Dataset payloads live out-of-core: every part of a dataset
+// generation — the upload, then one delta per append — is sealed into
+// an immutable segment file (internal/server/store's columnar format),
+// so the write-ahead log under Options.DataDir records only metadata
+// plus segment references — dataset ingested (shard width, fingerprint,
 // segment name), dataset appended (the new generation and its delta
 // segment), dataset removed, job submitted, job reached a terminal state
 // (with summary and result document). The whole service state is
@@ -32,9 +32,10 @@ import (
 //     served straight from their mmap'd segments (fingerprints read from
 //     the records, not recomputed); the Analysis (NMI tables) and the
 //     Prepared cache are re-derived, not persisted — they are
-//     recomputable, and lazily so. Datasets persisted by earlier
-//     versions carry full symbolic payloads in their records; those
-//     replay into memory-backed datasets exactly as before.
+//     recomputable, and lazily so. A dataset record without segment
+//     references (the full-payload shape written before segments
+//     existed) fails startup with an error naming the dataset; the
+//     record stays in the log untouched.
 //   - Terminal jobs come back with their summaries and result documents
 //     byte-identical; done jobs re-seed the result cache, so a repeat
 //     submission after a restart is still a cache hit.
@@ -64,9 +65,8 @@ const (
 // previous one.
 const defaultSnapshotEvery = 256
 
-// maxWALBytes is the byte-based compaction trigger. Segment-mode dataset
-// records are O(1), but terminal job records still carry result
-// documents (and legacy payload records can replay in), so a byte bound
+// maxWALBytes is the byte-based compaction trigger. Dataset records are
+// O(1), but terminal job records carry result documents, so a byte bound
 // keeps startup's whole-WAL read bounded regardless of record mix.
 const maxWALBytes = 128 << 20
 
@@ -84,39 +84,24 @@ const (
 // mining failures.
 const lostToRestart = "lost to restart: the server restarted while the job was queued or running"
 
-// seriesRecord is the persisted form of one symbolic series.
-type seriesRecord struct {
-	Name     string   `json:"name"`
-	Start    int64    `json:"start"`
-	Step     int64    `json:"step"`
-	Alphabet []string `json:"alphabet"`
-	Symbols  []int    `json:"symbols"`
-}
-
-// datasetRecord is the persisted form of one dataset. Segment-backed
-// datasets (the durable server's native mode) record identity plus
-// references: the segment file names holding the columnar payload, the
-// content fingerprint sealed into them, and the sample count — O(1)
-// bytes regardless of dataset size, which is what lifts the WAL off the
+// datasetRecord is the persisted form of one dataset: identity plus
+// references — the segment file names holding the columnar payload, the
+// content fingerprint sealed into them, and the sample count. It is O(1)
+// bytes regardless of dataset size, which keeps the WAL off the
 // record-size cap and makes restart a footer read instead of a payload
-// replay. Memory-backed datasets (and records written by earlier
-// versions) carry the full symbolic payload in Series instead; either
-// shape replays. Analysis and the Prepared cache are always re-derived
-// on restore. Generation and Threshold are omitempty so records written
-// by earlier versions replay unchanged (generation 0, server-default
-// threshold).
+// replay. Analysis and the Prepared cache are re-derived on restore.
+// Generation and Threshold are omitempty so records written by earlier
+// versions replay unchanged (generation 0, server-default threshold).
 type datasetRecord struct {
-	ID         string         `json:"id"`
-	Name       string         `json:"name"`
-	CreatedAt  time.Time      `json:"created_at"`
-	Shards     int            `json:"shards"`
-	Generation int64          `json:"generation,omitempty"`
-	Threshold  *float64       `json:"threshold,omitempty"`
-	Series     []seriesRecord `json:"series,omitempty"`
-	// Segment-mode fields; Series stays empty when these are set.
-	Segments    []string `json:"segments,omitempty"`
-	Fingerprint string   `json:"fingerprint,omitempty"`
-	Samples     int      `json:"samples,omitempty"`
+	ID          string    `json:"id"`
+	Name        string    `json:"name"`
+	CreatedAt   time.Time `json:"created_at"`
+	Shards      int       `json:"shards"`
+	Generation  int64     `json:"generation,omitempty"`
+	Threshold   *float64  `json:"threshold,omitempty"`
+	Segments    []string  `json:"segments,omitempty"`
+	Fingerprint string    `json:"fingerprint,omitempty"`
+	Samples     int       `json:"samples,omitempty"`
 }
 
 // removeRecord is the payload of a dataset removal event.
@@ -124,32 +109,19 @@ type removeRecord struct {
 	ID string `json:"id"`
 }
 
-// appendSeriesRecord is one series' slice of an append event: the
-// appended symbols only, plus the full post-append alphabet (appends may
-// extend alphabets, never renumber them, so replaying the whole alphabet
-// is idempotent by construction).
-type appendSeriesRecord struct {
-	Name     string   `json:"name"`
-	Alphabet []string `json:"alphabet"`
-	Symbols  []int    `json:"symbols"`
-}
-
-// appendRecord is the payload of a dataset append event. PrevSamples is
-// the per-series sample count the append applied to: replay appends the
-// symbols only when the replayed dataset still has exactly that many
-// samples, so a record re-applied over a snapshot that already contains
-// it (crash between snapshot replacement and WAL truncation) is a no-op
-// rather than a duplication. Gen still folds in monotonically either way,
-// so generations never regress across restarts.
+// appendRecord is the payload of a dataset append event: the delta
+// segment sealed by this append, the post-append total sample count and
+// content fingerprint. PrevSamples is the per-series sample count the
+// append applied to: replay folds the segment reference in only when the
+// replayed dataset still has exactly that many samples, so a record
+// re-applied over a snapshot that already contains it (crash between
+// snapshot replacement and WAL truncation) is a no-op rather than a
+// duplication. Gen still folds in monotonically either way, so
+// generations never regress across restarts.
 type appendRecord struct {
-	ID          string               `json:"id"`
-	Gen         int64                `json:"generation"`
-	PrevSamples int                  `json:"prev_samples"`
-	Series      []appendSeriesRecord `json:"series,omitempty"`
-	// Segment-mode fields: the delta segment sealed by this append, the
-	// post-append total sample count and content fingerprint. Series
-	// stays empty — the delta payload lives in the segment file, and
-	// replay only folds the reference in.
+	ID          string `json:"id"`
+	Gen         int64  `json:"generation"`
+	PrevSamples int    `json:"prev_samples"`
 	Segment     string `json:"segment,omitempty"`
 	Samples     int    `json:"samples,omitempty"`
 	Fingerprint string `json:"fingerprint,omitempty"`
@@ -214,48 +186,17 @@ type snapshotRecord struct {
 func datasetRecordOf(d *Dataset) datasetRecord {
 	g := d.view()
 	threshold := d.threshold
-	rec := datasetRecord{
-		ID:         d.id,
-		Name:       d.name,
-		CreatedAt:  d.createdAt,
-		Shards:     d.shards,
-		Generation: g.gen,
-		Threshold:  &threshold,
+	return datasetRecord{
+		ID:          d.id,
+		Name:        d.name,
+		CreatedAt:   d.createdAt,
+		Shards:      d.shards,
+		Generation:  g.gen,
+		Threshold:   &threshold,
+		Segments:    append([]string(nil), g.segments...),
+		Fingerprint: g.fingerprint,
+		Samples:     g.src.Len(),
 	}
-	if len(g.segments) > 0 {
-		// Segment-backed: the payload lives in sealed files; the record
-		// carries only references and is O(1) regardless of dataset size.
-		rec.Segments = append([]string(nil), g.segments...)
-		rec.Fingerprint = g.fingerprint
-		rec.Samples = g.src.Len()
-		return rec
-	}
-	rec.Series = make([]seriesRecord, len(g.sdb.Series))
-	for i, s := range g.sdb.Series {
-		rec.Series[i] = seriesRecord{
-			Name:     s.Name,
-			Start:    int64(s.Start),
-			Step:     int64(s.Step),
-			Alphabet: s.Alphabet,
-			Symbols:  s.Symbols,
-		}
-	}
-	return rec
-}
-
-// symbolicDB rebuilds the symbolic database of a persisted dataset.
-func (rec datasetRecord) symbolicDB() (*ftpm.SymbolicDB, error) {
-	series := make([]*ftpm.SymbolicSeries, len(rec.Series))
-	for i, s := range rec.Series {
-		series[i] = &ftpm.SymbolicSeries{
-			Name:     s.Name,
-			Start:    ftpm.Time(s.Start),
-			Step:     ftpm.Duration(s.Step),
-			Alphabet: s.Alphabet,
-			Symbols:  s.Symbols,
-		}
-	}
-	return ftpm.NewSymbolicDB(series...)
 }
 
 // persister serializes all durable writes of one server: WAL appends,
@@ -467,14 +408,15 @@ func replay(rec store.Recovery) (*recoveredState, error) {
 }
 
 // applyAppend folds one append record into the replayed state. The
-// symbols apply only when the dataset exists, matches the record's series
-// set, and still has exactly PrevSamples samples — a record whose data a
-// later snapshot already contains is thereby a no-op, so crash-replay
-// applies each append exactly once. The generation folds in monotonically
-// regardless, so a skipped (already-applied) record still keeps the
-// generation from regressing. Appends to datasets replay has already
-// dropped (append record racing ahead of a removal's, or a removal
-// earlier in the log) are skipped entirely.
+// delta segment reference applies only when the dataset exists, does not
+// already reference the segment, and still has exactly PrevSamples
+// samples — a record whose data a later snapshot already contains is
+// thereby a no-op, so crash-replay applies each append exactly once. The
+// generation folds in monotonically regardless, so a skipped
+// (already-applied) record still keeps the generation from regressing.
+// Appends to datasets replay has already dropped (append record racing
+// ahead of a removal's, or a removal earlier in the log) are skipped
+// entirely.
 func applyAppend(st *recoveredState, dsIndex map[string]int, ar appendRecord) {
 	i, ok := dsIndex[ar.ID]
 	if !ok {
@@ -484,39 +426,18 @@ func applyAppend(st *recoveredState, dsIndex map[string]int, ar appendRecord) {
 	if ar.Gen > d.Generation {
 		d.Generation = ar.Gen
 	}
-	if ar.Segment != "" {
-		// Segment-mode append: fold the delta segment reference in. The
-		// record applies only when the replayed dataset does not already
-		// reference the segment and still has the pre-append sample count
-		// — the same idempotence contract as the payload shape below.
-		for _, seg := range d.Segments {
-			if seg == ar.Segment {
-				return
-			}
-		}
-		if len(d.Segments) == 0 || d.Samples != ar.PrevSamples {
-			return
-		}
-		d.Segments = append(d.Segments, ar.Segment)
-		d.Samples = ar.Samples
-		if ar.Fingerprint != "" {
-			d.Fingerprint = ar.Fingerprint
-		}
+	if ar.Segment == "" || len(d.Segments) == 0 || d.Samples != ar.PrevSamples {
 		return
 	}
-	if len(d.Series) != len(ar.Series) || len(d.Series) == 0 {
-		return
-	}
-	for si := range d.Series {
-		if d.Series[si].Name != ar.Series[si].Name || len(d.Series[si].Symbols) != ar.PrevSamples {
+	for _, seg := range d.Segments {
+		if seg == ar.Segment {
 			return
 		}
 	}
-	for si := range d.Series {
-		s := &d.Series[si]
-		n := len(s.Symbols)
-		s.Symbols = append(s.Symbols[:n:n], ar.Series[si].Symbols...)
-		s.Alphabet = ar.Series[si].Alphabet
+	d.Segments = append(d.Segments, ar.Segment)
+	d.Samples = ar.Samples
+	if ar.Fingerprint != "" {
+		d.Fingerprint = ar.Fingerprint
 	}
 }
 

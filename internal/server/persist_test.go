@@ -3,11 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -41,7 +41,7 @@ func submitJob(t *testing.T, base string, req MiningRequest) JobInfo {
 	t.Helper()
 	body, _ := json.Marshal(req)
 	var job JobInfo
-	if code := doJSON(t, http.MethodPost, base+"/jobs", bytes.NewReader(body), &job); code != http.StatusAccepted {
+	if code := doJSON(t, http.MethodPost, base+"/v1/jobs", bytes.NewReader(body), &job); code != http.StatusAccepted {
 		t.Fatalf("submit: status %d", code)
 	}
 	return job
@@ -73,7 +73,7 @@ func waitIdle(t *testing.T, base string) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		var m MetricsJSON
-		if code := doJSON(t, http.MethodGet, base+"/metrics", nil, &m); code != 200 {
+		if code := doJSON(t, http.MethodGet, base+"/v1/metrics", nil, &m); code != 200 {
 			t.Fatalf("metrics: status %d", code)
 		}
 		running := m.Tenants[DefaultTenant].Running
@@ -94,7 +94,7 @@ func waitCompacted(t *testing.T, base string, limit int) MetricsJSON {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		var m MetricsJSON
-		if code := doJSON(t, http.MethodGet, base+"/metrics", nil, &m); code != 200 {
+		if code := doJSON(t, http.MethodGet, base+"/v1/metrics", nil, &m); code != 200 {
 			t.Fatalf("metrics: status %d", code)
 		}
 		if m.Persistence != nil && m.Persistence.WALRecords < limit {
@@ -125,11 +125,11 @@ func TestRestartRecoveryE2E(t *testing.T) {
 	exactJob := mineDone(t, ts1.URL, exactReq)
 	approxJob := mineDone(t, ts1.URL, approxReq)
 
-	code, exactDoc1 := getRaw(t, ts1.URL+"/jobs/"+exactJob.ID+"/result")
+	code, exactDoc1 := getRaw(t, ts1.URL+"/v1/jobs/"+exactJob.ID+"/result")
 	if code != 200 {
 		t.Fatalf("result: status %d", code)
 	}
-	_, approxDoc1 := getRaw(t, ts1.URL+"/jobs/"+approxJob.ID+"/result")
+	_, approxDoc1 := getRaw(t, ts1.URL+"/v1/jobs/"+approxJob.ID+"/result")
 	fp1 := map[string]string{}
 	for id, d := range srv1.reg.byID {
 		fp1[id] = d.view().fingerprint
@@ -143,7 +143,7 @@ func TestRestartRecoveryE2E(t *testing.T) {
 	// Datasets come back under their ids, with identical content.
 	for _, want := range []DatasetInfo{plain, sharded} {
 		var got DatasetInfo
-		if code := doJSON(t, http.MethodGet, ts2.URL+"/datasets/"+want.ID, nil, &got); code != 200 {
+		if code := doJSON(t, http.MethodGet, ts2.URL+"/v1/datasets/"+want.ID, nil, &got); code != 200 {
 			t.Fatalf("dataset %s after restart: status %d", want.ID, code)
 		}
 		if got.Name != want.Name || got.Shards != want.Shards || got.Samples != want.Samples ||
@@ -166,7 +166,7 @@ func TestRestartRecoveryE2E(t *testing.T) {
 	// Done jobs come back with byte-identical result documents.
 	for jobID, want := range map[string][]byte{exactJob.ID: exactDoc1, approxJob.ID: approxDoc1} {
 		var info JobInfo
-		if code := doJSON(t, http.MethodGet, ts2.URL+"/jobs/"+jobID, nil, &info); code != 200 {
+		if code := doJSON(t, http.MethodGet, ts2.URL+"/v1/jobs/"+jobID, nil, &info); code != 200 {
 			t.Fatalf("job %s after restart: status %d", jobID, code)
 		}
 		if info.State != JobDone || info.Summary == nil {
@@ -175,7 +175,7 @@ func TestRestartRecoveryE2E(t *testing.T) {
 		if info.Progress.Patterns != info.Summary.Patterns || info.Progress.Level < 2 {
 			t.Fatalf("job %s progress not rebuilt from persisted levels: %+v vs %+v", jobID, info.Progress, info.Summary)
 		}
-		code, doc := getRaw(t, ts2.URL+"/jobs/"+jobID+"/result")
+		code, doc := getRaw(t, ts2.URL+"/v1/jobs/"+jobID+"/result")
 		if code != 200 {
 			t.Fatalf("result of %s after restart: status %d", jobID, code)
 		}
@@ -239,7 +239,7 @@ func TestRestartRequeuesLiveJobs(t *testing.T) {
 		DatasetID: gone.ID, MinSupport: 0.2, MinConfidence: 0,
 		NumWindows: 2, MaxPatternSize: 2,
 	})
-	if code := doJSON(t, http.MethodDelete, ts1.URL+"/datasets/"+gone.ID, nil, nil); code != http.StatusNoContent {
+	if code := doJSON(t, http.MethodDelete, ts1.URL+"/v1/datasets/"+gone.ID, nil, nil); code != http.StatusNoContent {
 		t.Fatalf("delete doomed dataset: status %d", code)
 	}
 
@@ -262,7 +262,7 @@ func TestRestartRequeuesLiveJobs(t *testing.T) {
 	}
 	// The orphan comes back failed with a distinguishable error.
 	var got JobInfo
-	if code := doJSON(t, http.MethodGet, ts2.URL+"/jobs/"+orphan.ID, nil, &got); code != 200 {
+	if code := doJSON(t, http.MethodGet, ts2.URL+"/v1/jobs/"+orphan.ID, nil, &got); code != 200 {
 		t.Fatalf("orphan job after crash: status %d", code)
 	}
 	if got.State != JobFailed || !strings.Contains(got.Error, "lost to restart") {
@@ -270,7 +270,7 @@ func TestRestartRequeuesLiveJobs(t *testing.T) {
 	}
 
 	var m MetricsJSON
-	if code := doJSON(t, http.MethodGet, ts2.URL+"/metrics", nil, &m); code != 200 {
+	if code := doJSON(t, http.MethodGet, ts2.URL+"/v1/metrics", nil, &m); code != 200 {
 		t.Fatal("metrics after crash")
 	}
 	if m.QueueDepth != 0 {
@@ -299,7 +299,10 @@ func TestGracefulShutdownPersistsCancellations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := srv1.reg.add("a", sdb, 1, 0.5)
+	ds, err := srv1.addDataset("a", sdb, 1, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	j, err := srv1.jobs.submit(ds, MiningRequest{DatasetID: ds.id, MinSupport: 0.5, NumWindows: 2}, DefaultTenant)
 	if err != nil {
 		t.Fatal(err)
@@ -348,7 +351,7 @@ func TestTornWALTailRecoveryEndToEnd(t *testing.T) {
 	// event — so the job replays as live; its dataset survived the tear,
 	// so it re-queues and re-runs to done rather than coming back lost.
 	var ds DatasetInfo
-	if code := doJSON(t, http.MethodGet, ts2.URL+"/datasets/"+info.ID, nil, &ds); code != 200 {
+	if code := doJSON(t, http.MethodGet, ts2.URL+"/v1/datasets/"+info.ID, nil, &ds); code != 200 {
 		t.Fatalf("dataset after torn-tail recovery: status %d", code)
 	}
 	if ds.Name != "energy" || ds.Samples != info.Samples {
@@ -380,8 +383,8 @@ func TestTornWALTailRecoveryEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, ts4 := testServer(t, Options{Workers: 1, DataDir: dir2})
-	code4, doc4 := getRaw(t, ts4.URL+"/jobs/"+done3.ID+"/result")
-	_, doc3 := getRaw(t, ts3.URL+"/jobs/"+done3.ID+"/result")
+	code4, doc4 := getRaw(t, ts4.URL+"/v1/jobs/"+done3.ID+"/result")
+	_, doc3 := getRaw(t, ts3.URL+"/v1/jobs/"+done3.ID+"/result")
 	if code4 != 200 || !bytes.Equal(doc3, doc4) {
 		t.Fatalf("done job's document diverged across torn-garbage recovery (%d):\n%s\nvs\n%s", code4, doc4, doc3)
 	}
@@ -392,7 +395,7 @@ func TestSnapshotCompactionAndGauges(t *testing.T) {
 	_, ts := testServer(t, Options{Workers: 1, DataDir: dir, SnapshotEvery: 4})
 
 	var m MetricsJSON
-	if code := doJSON(t, http.MethodGet, ts.URL+"/metrics", nil, &m); code != 200 {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/metrics", nil, &m); code != 200 {
 		t.Fatal("metrics")
 	}
 	if m.Persistence == nil {
@@ -410,7 +413,7 @@ func TestSnapshotCompactionAndGauges(t *testing.T) {
 		ids = append(ids, info.ID)
 	}
 	for _, id := range ids[:2] {
-		if code := doJSON(t, http.MethodDelete, ts.URL+"/datasets/"+id, nil, nil); code != http.StatusNoContent {
+		if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/datasets/"+id, nil, nil); code != http.StatusNoContent {
 			t.Fatalf("delete %s: status %d", id, code)
 		}
 	}
@@ -423,7 +426,7 @@ func TestSnapshotCompactionAndGauges(t *testing.T) {
 	// removed ids never reissued.
 	_, ts2 := testServer(t, Options{Workers: 1, DataDir: dir, SnapshotEvery: 4})
 	var list datasetsPage
-	if code := doJSON(t, http.MethodGet, ts2.URL+"/datasets", nil, &list); code != 200 || len(list.Datasets) != 4 {
+	if code := doJSON(t, http.MethodGet, ts2.URL+"/v1/datasets", nil, &list); code != 200 || len(list.Datasets) != 4 {
 		t.Fatalf("datasets after compacted restart = %d (%d)", len(list.Datasets), code)
 	}
 	fresh := uploadCSV(t, ts2.URL, "name=later&threshold=0.5", smallCSV())
@@ -449,7 +452,7 @@ func TestRemovedIDsNotReissuedAcrossCompaction(t *testing.T) {
 	}
 	// The removal is the third record: compaction fires and the snapshot
 	// holds only ds-1 — no surviving record mentions seq 2.
-	if code := doJSON(t, http.MethodDelete, ts.URL+"/datasets/"+gone.ID, nil, nil); code != http.StatusNoContent {
+	if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/datasets/"+gone.ID, nil, nil); code != http.StatusNoContent {
 		t.Fatalf("delete: status %d", code)
 	}
 	waitCompacted(t, ts.URL, 1)
@@ -466,7 +469,7 @@ func TestRemovedIDsNotReissuedAcrossCompaction(t *testing.T) {
 	dir2 := t.TempDir()
 	srv3, ts3 := testServer(t, Options{Workers: 1, DataDir: dir2})
 	only := uploadCSV(t, ts3.URL, "name=only&threshold=0.5", smallCSV())
-	if code := doJSON(t, http.MethodDelete, ts3.URL+"/datasets/"+only.ID, nil, nil); code != http.StatusNoContent {
+	if code := doJSON(t, http.MethodDelete, ts3.URL+"/v1/datasets/"+only.ID, nil, nil); code != http.StatusNoContent {
 		t.Fatalf("delete: status %d", code)
 	}
 	ts3.Close()
@@ -487,19 +490,19 @@ func TestClosedServerRejectsMutations(t *testing.T) {
 	info := uploadCSV(t, ts.URL, "name=a&threshold=0.5", smallCSV())
 	srv.Close()
 
-	if code := doJSON(t, http.MethodPost, ts.URL+"/datasets?threshold=0.5", strings.NewReader(smallCSV()), nil); code != http.StatusServiceUnavailable {
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/datasets?threshold=0.5", strings.NewReader(smallCSV()), nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("upload after Close: status %d, want 503", code)
 	}
-	if code := doJSON(t, http.MethodDelete, ts.URL+"/datasets/"+info.ID, nil, nil); code != http.StatusServiceUnavailable {
+	if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/datasets/"+info.ID, nil, nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("dataset delete after Close: status %d, want 503", code)
 	}
 	var req bytes.Buffer
 	req.WriteString(`{"dataset_id":"` + info.ID + `","min_support":0.5,"num_windows":2}`)
-	if code := doJSON(t, http.MethodPost, ts.URL+"/jobs", &req, nil); code != http.StatusServiceUnavailable {
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", &req, nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("job submit after Close: status %d, want 503", code)
 	}
 	// Reads stay up.
-	if code := doJSON(t, http.MethodGet, ts.URL+"/datasets/"+info.ID, nil, nil); code != 200 {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/datasets/"+info.ID, nil, nil); code != 200 {
 		t.Fatalf("read after Close: status %d, want 200", code)
 	}
 }
@@ -512,7 +515,7 @@ func TestInMemoryServerHasNoPersistence(t *testing.T) {
 		t.Fatal("in-memory server must not build a persister")
 	}
 	var m MetricsJSON
-	if code := doJSON(t, http.MethodGet, ts.URL+"/metrics", nil, &m); code != 200 {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/metrics", nil, &m); code != 200 {
 		t.Fatal("metrics")
 	}
 	if m.Persistence != nil {
@@ -553,7 +556,7 @@ func TestAppendRestartRecovery(t *testing.T) {
 	verify := func(label string, srv *Server, base string) {
 		t.Helper()
 		var got DatasetInfo
-		if code := doJSON(t, http.MethodGet, base+"/datasets/"+ds.ID, nil, &got); code != 200 {
+		if code := doJSON(t, http.MethodGet, base+"/v1/datasets/"+ds.ID, nil, &got); code != 200 {
 			t.Fatalf("%s: dataset: status %d", label, code)
 		}
 		if got.Samples != 240 || got.Generation != 2 {
@@ -563,7 +566,7 @@ func TestAppendRestartRecovery(t *testing.T) {
 			t.Fatalf("%s: fingerprint diverged after replay", label)
 		}
 		var m MetricsJSON
-		doJSON(t, http.MethodGet, base+"/metrics", nil, &m)
+		doJSON(t, http.MethodGet, base+"/v1/metrics", nil, &m)
 		if g := m.Appends.DatasetGenerations[ds.ID]; g != 2 {
 			t.Fatalf("%s: generation gauge = %d, want 2", label, g)
 		}
@@ -591,44 +594,42 @@ func TestAppendRestartRecovery(t *testing.T) {
 }
 
 // TestApplyAppendIdempotent unit-tests the replay guard: an append
-// record applied to a dataset that already contains its samples (the
+// record applied to a dataset that already contains its segment (the
 // snapshot-compacted-after-append case) must not double-apply, while the
 // generation still maxes in.
 func TestApplyAppendIdempotent(t *testing.T) {
 	st := &recoveredState{datasets: []datasetRecord{{
 		ID: "ds-1", Shards: 1,
-		Series: []seriesRecord{
-			{Name: "A", Alphabet: []string{"Off", "On"}, Symbols: []int{0, 1, 0}},
-			{Name: "B", Alphabet: []string{"Off", "On"}, Symbols: []int{1, 0, 1}},
-		},
+		Segments: []string{"ds-1-g0.seg"}, Fingerprint: "fp0", Samples: 3,
 	}}}
 	idx := map[string]int{"ds-1": 0}
-	rec := appendRecord{ID: "ds-1", Gen: 1, PrevSamples: 3, Series: []appendSeriesRecord{
-		{Name: "A", Alphabet: []string{"Off", "On", "Hi"}, Symbols: []int{2, 0}},
-		{Name: "B", Alphabet: []string{"Off", "On"}, Symbols: []int{1, 1}},
-	}}
+	rec := appendRecord{ID: "ds-1", Gen: 1, PrevSamples: 3,
+		Segment: "ds-1-g1.seg", Samples: 5, Fingerprint: "fp1"}
 
 	applyAppend(st, idx, rec)
-	wantA := []int{0, 1, 0, 2, 0}
-	if got := st.datasets[0].Series[0].Symbols; fmt.Sprint(got) != fmt.Sprint(wantA) {
-		t.Fatalf("first apply: A symbols = %v, want %v", got, wantA)
+	want := datasetRecord{
+		ID: "ds-1", Shards: 1, Generation: 1,
+		Segments: []string{"ds-1-g0.seg", "ds-1-g1.seg"}, Fingerprint: "fp1", Samples: 5,
 	}
-	if a := st.datasets[0].Series[0].Alphabet; len(a) != 3 || a[2] != "Hi" {
-		t.Fatalf("first apply: A alphabet = %v", a)
-	}
-	if st.datasets[0].Generation != 1 {
-		t.Fatalf("first apply: generation = %d", st.datasets[0].Generation)
+	if got := st.datasets[0]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("first apply = %+v, want %+v", got, want)
 	}
 
-	// Replaying the same record (sample counts no longer match
-	// PrevSamples) must be a no-op for the payload and keep the max
-	// generation.
+	// Replaying the same record (the segment is already referenced and
+	// the sample count no longer matches PrevSamples) must be a no-op
+	// that keeps the max generation.
 	applyAppend(st, idx, rec)
-	if got := st.datasets[0].Series[0].Symbols; fmt.Sprint(got) != fmt.Sprint(wantA) {
-		t.Fatalf("second apply mutated symbols: %v", got)
+	if got := st.datasets[0]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("second apply = %+v, want %+v", got, want)
 	}
-	if st.datasets[0].Generation != 1 {
-		t.Fatalf("second apply: generation = %d", st.datasets[0].Generation)
+
+	// A record whose PrevSamples does not match the replayed dataset
+	// folds in only its generation.
+	applyAppend(st, idx, appendRecord{ID: "ds-1", Gen: 4, PrevSamples: 3,
+		Segment: "ds-1-g4.seg", Samples: 9, Fingerprint: "fp4"})
+	want.Generation = 4
+	if got := st.datasets[0]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("stale apply = %+v, want %+v", got, want)
 	}
 
 	// Records for unknown datasets (removed before the record) are

@@ -1,10 +1,7 @@
 package server
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -13,12 +10,12 @@ import (
 
 // Dataset is one ingested, symbolized dataset held by the registry. Its
 // content lives in immutable generations: appending data never mutates
-// the current generation's symbolic database — it builds a new one
-// (sharing the unchanged sample prefix) and swaps it in, so jobs that
-// captured the previous generation keep mining a consistent view. Mining
-// goes through geometry-keyed ftpm.Prepared handles owned by the
-// generation: one handle per window geometry owns that geometry's sharded
-// DSEQ conversion (window i of the split lives in shard i%K), its merged
+// the current generation's content — it chains a delta of the appended
+// samples after it and swaps the chain in, so jobs that captured the
+// previous generation keep mining a consistent view. Mining goes through
+// geometry-keyed ftpm.Prepared handles owned by the generation: one
+// handle per window geometry owns that geometry's sharded DSEQ
+// conversion (window i of the split lives in shard i%K), its merged
 // view, and the generation's memoized pairwise NMI tables, so every job
 // over the same split — exact, approx, event-level, sharded or not —
 // shares the same cached artifacts.
@@ -44,8 +41,8 @@ type Dataset struct {
 	lastShardSeqs []int
 }
 
-// dsGen is one immutable content generation of a dataset: the symbolic
-// database as of some append, its content fingerprint, the shared NMI
+// dsGen is one immutable content generation of a dataset: its content
+// view as of some append, its content fingerprint, the shared NMI
 // analysis, and the geometry-keyed Prepared cache. An append builds the
 // next generation (advancing each cached Prepared incrementally) and the
 // dataset atomically swaps to it; jobs hold the generation they started
@@ -53,20 +50,20 @@ type Dataset struct {
 type dsGen struct {
 	gen int64
 	// src is the generation's content view — what conversion, NMI and the
-	// info endpoints consume. In-memory datasets point it at sdb; durable
-	// datasets point it at an mmap'd segment (or a chain of base segment +
-	// delta segments after appends), and sdb stays nil.
+	// info endpoints consume: the upload, followed by one chainSource
+	// delta per append. The in-memory server keeps each part as an
+	// in-heap symbolic database; a durable server seals each part into a
+	// segment file and chains the mmap'd segments instead.
 	src ftpm.SymbolSource
-	sdb *ftpm.SymbolicDB
 	// segments are the file names (under the data directory's segments/
 	// subdirectory) backing this generation, oldest first; segBytes is
-	// their total on-disk size. Empty / 0 for memory-backed generations.
+	// their total on-disk size. Empty / 0 on the in-memory server.
 	segments []string
 	segBytes int64
-	// fingerprint is a content hash of the symbolic database, recomputed
-	// per generation. The completed-job result cache keys on it (not the
-	// dataset id), so stale-generation lookups structurally miss and
-	// re-uploading identical content hits.
+	// fingerprint is the content hash of src (fingerprintSource), taken
+	// once per generation when its last part is added. The completed-job
+	// result cache keys on it (not the dataset id), so stale-generation
+	// lookups structurally miss and re-uploading identical content hits.
 	fingerprint string
 	// analysis holds the generation's geometry-independent NMI tables;
 	// every Prepared handle of the generation shares it. NMI depends on
@@ -85,49 +82,17 @@ type dsGen struct {
 // bound.
 const maxPreparedCache = 8
 
-// fingerprintSDB hashes the full content of a symbolic database — series
-// names, timing, alphabets, and symbol streams — into a stable key. The
-// result cache serves documents across datasets purely by this key, so
-// the hash must be collision-resistant (sha256) and the encoding
-// unambiguous: every string and collection is length-prefixed.
-func fingerprintSDB(sdb *ftpm.SymbolicDB) string {
-	h := sha256.New()
-	var buf [8]byte
-	writeInt := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
-	writeStr := func(s string) {
-		writeInt(int64(len(s)))
-		io.WriteString(h, s)
-	}
-	writeInt(int64(len(sdb.Series)))
-	for _, s := range sdb.Series {
-		writeStr(s.Name)
-		writeInt(int64(s.Start))
-		writeInt(int64(s.Step))
-		writeInt(int64(len(s.Alphabet)))
-		for _, a := range s.Alphabet {
-			writeStr(a)
-		}
-		writeInt(int64(len(s.Symbols)))
-		for _, sym := range s.Symbols {
-			writeInt(int64(sym))
-		}
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
-}
-
 // DatasetInfo is the JSON view of a dataset. ShardSeqs reports the
 // per-shard sequence counts of the most recently mined window geometry
 // (empty until a first job converts one) so operators and the bench job
 // can verify shard balance. Generation counts the appends applied since
 // upload (0 for a freshly uploaded dataset) and never regresses, restarts
-// included. Storage reports where the content lives: "memory" (in-heap
-// symbol slices) or "segment" (mmap'd columnar segment files), with
-// ResidentBytes the heap footprint of the symbol payload and SegmentBytes
-// its on-disk footprint — segment-backed datasets keep ResidentBytes 0
-// because the kernel pages column bytes in and out on demand.
+// included. Storage reports where the content parts live: "memory" on
+// the in-memory server (in-heap symbol slices) or "segment" on a durable
+// one (mmap'd columnar segment files), with ResidentBytes the heap
+// footprint of the symbol payload and SegmentBytes its on-disk footprint
+// — segment-backed datasets keep ResidentBytes 0 because the kernel
+// pages column bytes in and out on demand.
 type DatasetInfo struct {
 	ID            string    `json:"id"`
 	Name          string    `json:"name"`
@@ -157,11 +122,11 @@ func (g *dsGen) storage() string {
 // pins: the per-sample symbol slices for memory-backed generations,
 // nothing for segment-backed ones (runs decode transiently per use).
 func (g *dsGen) residentBytes() int64 {
-	if g.sdb == nil {
+	if len(g.segments) > 0 {
 		return 0
 	}
 	const intSize = 8
-	return int64(g.sdb.Len()) * int64(len(g.sdb.Series)) * intSize
+	return int64(g.src.Len()) * int64(g.src.NumSeries()) * intSize
 }
 
 // view returns the dataset's current generation. Generations are
@@ -229,32 +194,20 @@ func (d *Dataset) prepared(g *dsGen, opt ftpm.SplitOptions) (*ftpm.Prepared, err
 	return p, nil
 }
 
-// nextGen assembles the generation an append produces: the extended
-// symbolic database with a fresh fingerprint and fresh (lazily built) NMI
-// tables, plus the previous generation's Prepared cache advanced handle
-// by handle — each advanced handle converts incrementally against its
-// predecessor's memoized DSEQ artifacts on first use. A handle that
-// cannot advance (geometry no longer valid for the grown span, or the
-// append broke the extension contract) is dropped from the cache rather
-// than carried stale. Callers hold d.appendMu.
-func (d *Dataset) nextGen(sdb *ftpm.SymbolicDB) *dsGen {
-	return d.advanceTo(genFromSDB(0, sdb))
-}
-
-// nextGenSource assembles the generation a segment-mode append produces:
-// the chained view over the previous generation plus the new delta
-// segment, with the fingerprint computed by the caller (the append
-// handler hashes the chain before sealing, so the segment footer and the
-// WAL record carry the same value). Callers hold d.appendMu.
-func (d *Dataset) nextGenSource(src ftpm.SymbolSource, segments []string, segBytes int64, fingerprint string) *dsGen {
-	return d.advanceTo(genFromSource(0, src, fingerprint, segments, segBytes))
-}
-
-// advanceTo numbers next after the current generation and carries the
-// Prepared cache forward, advancing handle by handle.
-func (d *Dataset) advanceTo(next *dsGen) *dsGen {
+// nextGen assembles the generation an append produces: the chained view
+// over the previous generation plus the appended delta, with the
+// fingerprint computed by the caller (the append hashes the chain before
+// sealing, so the segment footer and the WAL record carry the same
+// value) and fresh (lazily built) NMI tables, plus the previous
+// generation's Prepared cache advanced handle by handle — each advanced
+// handle converts incrementally against its predecessor's memoized DSEQ
+// artifacts on first use. A handle that cannot advance (geometry no
+// longer valid for the grown span, or the append broke the extension
+// contract) is dropped from the cache rather than carried stale. Callers
+// hold d.appendMu.
+func (d *Dataset) nextGen(src ftpm.SymbolSource, segments []string, segBytes int64, fingerprint string) *dsGen {
 	cur := d.view()
-	next.gen = cur.gen + 1
+	next := genFromSource(cur.gen+1, src, fingerprint, segments, segBytes)
 	d.mu.Lock()
 	keys := append([]string(nil), cur.keys...)
 	preps := make([]*ftpm.Prepared, len(keys))
@@ -289,9 +242,8 @@ type registry struct {
 	persist *persister // nil when DataDir is unset
 	// logMu serializes each mutate+log pair: without it, a DELETE racing
 	// an upload (ids are predictable) could append its removal record at
-	// a lower LSN than the addition's — the addition's payload marshal is
-	// large and slow — and replay would then resurrect the deleted
-	// dataset. Appends take it for the same reason (an append record
+	// a lower LSN than the addition's, and replay would then resurrect
+	// the deleted dataset. Appends take it for the same reason (an append record
 	// after its dataset's removal record would be a silent no-op at
 	// replay but a lie to the acknowledged client). Held before (never
 	// inside) mu and the persister's lock.
@@ -307,24 +259,10 @@ func newRegistry(persist *persister) *registry {
 	return &registry{persist: persist, byID: make(map[string]*Dataset)}
 }
 
-// genFromSDB assembles a memory-backed generation, re-deriving the
-// content fingerprint and the shared NMI analysis from the symbolic
-// payload.
-func genFromSDB(gen int64, sdb *ftpm.SymbolicDB) *dsGen {
-	return &dsGen{
-		gen:         gen,
-		src:         sdb,
-		sdb:         sdb,
-		fingerprint: fingerprintSDB(sdb),
-		analysis:    ftpm.NewAnalysis(sdb),
-		prep:        make(map[string]*ftpm.Prepared),
-	}
-}
-
-// genFromSource assembles a segment-backed generation around an mmap'd
-// view. The fingerprint is taken, not recomputed: it was hashed when the
-// content was sealed (and is recorded in the segment footer and the WAL),
-// so restart never pays an O(samples) rehash.
+// genFromSource assembles a generation around a content view. The
+// fingerprint is taken, not recomputed: it was hashed once when the last
+// part was added (and, on a durable server, recorded in the segment
+// footer and the WAL), so restart never pays an O(samples) rehash.
 func genFromSource(gen int64, src ftpm.SymbolSource, fingerprint string, segments []string, segBytes int64) *dsGen {
 	return &dsGen{
 		gen:         gen,
@@ -353,20 +291,16 @@ func newDataset(id, name string, createdAt time.Time, g *dsGen, shards int, thre
 }
 
 // reserveID issues the next dataset id without registering anything.
-// The durable upload path needs the id before registration: the segment
-// file is named after it and must be sealed (and the seal survive a
-// crash as a collectible orphan) before the dataset becomes visible.
-// Ids are never reissued, so an id whose upload fails is simply skipped.
+// The upload needs the id before registration: on a durable server the
+// segment file is named after it and must be sealed (and the seal
+// survive a crash as a collectible orphan) before the dataset becomes
+// visible. Ids are never reissued, so an id whose upload fails is simply
+// skipped.
 func (r *registry) reserveID() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.seq++
 	return fmt.Sprintf("ds-%d", r.seq)
-}
-
-func (r *registry) add(name string, sdb *ftpm.SymbolicDB, shards int, threshold float64) *Dataset {
-	d := newDataset(r.reserveID(), name, time.Now(), genFromSDB(0, sdb), shards, threshold)
-	return r.addPrepared(d)
 }
 
 // addPrepared registers a fully-assembled dataset under its (reserved)
@@ -409,9 +343,8 @@ func (r *registry) appendDataset(d *Dataset, next *dsGen, rec appendRecord) bool
 
 // restore re-inserts a recovered dataset under its original id (and
 // replayed generation) without logging a new event; the caller builds the
-// generation (memory- or segment-backed, matching how the record was
-// persisted). defaultThreshold covers records from before thresholds were
-// persisted.
+// generation from the record's segments. defaultThreshold covers records
+// from before thresholds were persisted.
 func (r *registry) restore(rec datasetRecord, g *dsGen, defaultThreshold float64) *Dataset {
 	threshold := defaultThreshold
 	if rec.Threshold != nil {

@@ -201,12 +201,14 @@ func New(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// restore loads the replayed datasets and jobs. Segment-backed datasets
-// mmap their sealed files and trust the recorded fingerprint — no
-// payload re-read, no rehash — which is what makes restart near-instant;
-// legacy payload records rebuild memory-backed datasets exactly as
-// before. Jobs that were live at crash time surface as failed ("lost to
-// restart").
+// restore loads the replayed datasets and jobs. Datasets mmap their
+// sealed segment files and trust the recorded fingerprint — no payload
+// re-read, no rehash — which is what makes restart near-instant. A
+// dataset record without segment references (the full-payload shape of
+// data directories written before segments existed) fails the restore
+// rather than being dropped: a later compaction would otherwise lose the
+// payload for good. Jobs that were live at crash time surface as failed
+// ("lost to restart").
 func (s *Server) restore(st *recoveredState) error {
 	if st.snapshotDamaged {
 		s.logf("persist: snapshot failed verification and was ignored")
@@ -216,23 +218,16 @@ func (s *Server) restore(st *recoveredState) error {
 	}
 	restored := 0
 	for _, rec := range st.datasets {
-		var g *dsGen
-		if len(rec.Segments) > 0 {
-			var err error
-			g, err = s.segmentGen(rec)
-			if err != nil {
-				// A lost or corrupt segment loses this dataset (its live
-				// jobs fail as "lost to restart"), not the whole service:
-				// the rest of the log is intact and serveable.
-				s.logf("persist: dataset %s dropped: %v", rec.ID, err)
-				continue
-			}
-		} else {
-			sdb, err := rec.symbolicDB()
-			if err != nil {
-				return fmt.Errorf("server: dataset %s does not replay: %w", rec.ID, err)
-			}
-			g = genFromSDB(rec.Generation, sdb)
+		if len(rec.Segments) == 0 {
+			return fmt.Errorf("server: dataset %s has no segment references (a pre-segment data directory); it cannot be restored", rec.ID)
+		}
+		g, err := s.segmentGen(rec)
+		if err != nil {
+			// A lost or corrupt segment loses this dataset (its live
+			// jobs fail as "lost to restart"), not the whole service:
+			// the rest of the log is intact and serveable.
+			s.logf("persist: dataset %s dropped: %v", rec.ID, err)
+			continue
 		}
 		s.reg.restore(rec, g, *s.opts.DefaultThreshold)
 		restored++
@@ -281,9 +276,6 @@ func (s *Server) segmentGen(rec datasetRecord) (*dsGen, error) {
 		} else {
 			src = &chainSource{base: src, tail: seg}
 		}
-	}
-	if src == nil {
-		return nil, fmt.Errorf("record references no segments")
 	}
 	if rec.Samples != 0 && src.Len() != rec.Samples {
 		return nil, fmt.Errorf("segments hold %d samples, record expects %d", src.Len(), rec.Samples)
@@ -539,20 +531,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // route dispatches requests by hand on net/http only, so the server works
-// identically across toolchain versions. The canonical surface lives
-// under /v1; the original unversioned paths answer identically but carry
-// Deprecation and successor-version Link headers. The event streams are
-// v1-only — they postdate the unversioned surface, so aliasing them would
-// grow the deprecated API.
+// identically across toolchain versions. Every route lives under /v1.
 func (s *Server) route(w http.ResponseWriter, r *http.Request) {
 	seg := strings.Split(strings.Trim(r.URL.Path, "/"), "/")
-	v1 := len(seg) > 0 && seg[0] == "v1"
-	if v1 {
-		seg = seg[1:]
-	} else if len(seg) > 0 && seg[0] != "" {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "</v1"+r.URL.Path+">; rel=\"successor-version\"")
+	if seg[0] != "v1" {
+		writeError(w, http.StatusNotFound, codeNotFound, "no such route: %s %s (routes are served under /v1)", r.Method, r.URL.Path)
+		return
 	}
+	seg = seg[1:]
 	switch {
 	case len(seg) == 1 && seg[0] == "healthz":
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
@@ -564,7 +550,7 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		writeJSON(w, http.StatusOK, s.metricsDoc())
-	case v1 && len(seg) == 1 && seg[0] == "events":
+	case len(seg) == 1 && seg[0] == "events":
 		if r.Method != http.MethodGet {
 			writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "method %s not allowed", r.Method)
 			return
@@ -573,7 +559,7 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) {
 	case len(seg) >= 1 && seg[0] == "datasets" && len(seg) <= 3:
 		s.routeDatasets(w, r, seg[1:])
 	case len(seg) >= 1 && seg[0] == "jobs" && len(seg) <= 3:
-		s.routeJobs(w, r, seg[1:], v1)
+		s.routeJobs(w, r, seg[1:])
 	default:
 		writeError(w, http.StatusNotFound, codeNotFound, "no such route: %s %s", r.Method, r.URL.Path)
 	}
@@ -746,44 +732,57 @@ func (s *Server) handleUploadDataset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var ds *Dataset
-	if s.persist != nil {
-		ds, err = s.addSegmentDataset(name, sdb, shards, threshold)
-		if err != nil {
-			s.storeFailure(w, "dataset storage", err)
-			return
-		}
-	} else {
-		ds = s.reg.add(name, sdb, shards, threshold)
+	ds, err := s.addDataset(name, sdb, shards, threshold)
+	if err != nil {
+		s.storeFailure(w, "dataset storage", err)
+		return
 	}
 	s.logf("dataset %s ingested: %q, %d series, %d samples, %d shards", ds.id, name, len(sdb.Series), sdb.Len(), shards)
 	writeJSON(w, http.StatusCreated, ds.info())
 }
 
-// addSegmentDataset is the durable ingestion path: the symbolized upload
-// is sealed into an immutable columnar segment file, the file is mapped
-// back as the dataset's content view, and only then is the dataset
-// registered (logging an O(1) record that references the segment). The
-// in-heap symbol slices are dropped on return — the dataset is served
-// from the mapping from its first job on. A crash after the seal but
-// before the log append leaves an orphan file that the next startup
-// collects; the sealed name is deterministic (id + generation), so a
-// client retry overwrites rather than accumulates.
-func (s *Server) addSegmentDataset(name string, sdb *ftpm.SymbolicDB, shards int, threshold float64) (*Dataset, error) {
+// addDataset registers a symbolized upload as generation 0 of a new
+// dataset. On a durable server the upload is first sealed into an
+// immutable segment file, which becomes the dataset's content view, and
+// only then is the dataset registered (logging an O(1) record that
+// references the segment); the in-heap symbol slices are dropped on
+// return. A crash after the seal but before the log append leaves an
+// orphan file that the next startup collects; the sealed name is
+// deterministic (id + generation), so a client retry overwrites rather
+// than accumulates.
+func (s *Server) addDataset(name string, sdb *ftpm.SymbolicDB, shards int, threshold float64) (*Dataset, error) {
 	id := s.reg.reserveID()
-	fp := fingerprintSDB(sdb)
-	segName := segmentName(id, 0)
-	path := filepath.Join(s.segDir, segName)
-	size, err := store.WriteSegmentFS(s.fsys, path, sdb, fp)
+	fp := fingerprintSource(sdb)
+	var src ftpm.SymbolSource = sdb
+	var segments []string
+	var size int64
+	if s.persist != nil {
+		segName := segmentName(id, 0)
+		seg, n, err := s.seal(segName, sdb, fp)
+		if err != nil {
+			return nil, err
+		}
+		src, segments, size = seg, []string{segName}, n
+	}
+	g := genFromSource(0, src, fp, segments, size)
+	return s.reg.addPrepared(newDataset(id, name, time.Now(), g, shards, threshold)), nil
+}
+
+// seal writes one content part (an upload or an append delta) into the
+// segment file name under the segments directory, with the full
+// generation's fingerprint in its footer, and maps it back. It returns
+// the mapped segment and its on-disk size.
+func (s *Server) seal(name string, src ftpm.SymbolSource, fp string) (*store.Segment, int64, error) {
+	path := filepath.Join(s.segDir, name)
+	size, err := store.WriteSegmentFS(s.fsys, path, src, fp)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	seg, err := store.OpenSegmentFS(s.fsys, path)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	g := genFromSource(0, seg, fp, []string{segName}, size)
-	return s.reg.addPrepared(newDataset(id, name, time.Now(), g, shards, threshold)), nil
+	return seg, size, nil
 }
 
 // segmentName is the sealed-file name of one dataset generation's
@@ -824,7 +823,7 @@ func symbolizeConcurrent(series []*ftpm.TimeSeries, threshold float64, workers i
 	return ftpm.NewSymbolicDB(out...)
 }
 
-func (s *Server) routeJobs(w http.ResponseWriter, r *http.Request, rest []string, v1 bool) {
+func (s *Server) routeJobs(w http.ResponseWriter, r *http.Request, rest []string) {
 	switch {
 	case len(rest) == 0 && r.Method == http.MethodPost:
 		s.handleSubmitJob(w, r)
@@ -867,11 +866,6 @@ func (s *Server) routeJobs(w http.ResponseWriter, r *http.Request, rest []string
 		s.logf("job %s cancellation requested", rest[0])
 		writeJSON(w, http.StatusAccepted, s.jobs.info(j))
 	case len(rest) == 2 && rest[1] == "events" && r.Method == http.MethodGet:
-		if !v1 {
-			// The streams postdate the unversioned surface; no legacy alias.
-			writeError(w, http.StatusNotFound, codeNotFound, "no such route: %s %s (events are served under /v1)", r.Method, r.URL.Path)
-			return
-		}
 		s.handleEvents(w, r, rest[0])
 	case len(rest) == 2 && rest[1] == "patterns" && r.Method == http.MethodGet:
 		s.handlePatterns(w, r, rest[0])
@@ -929,7 +923,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, s.jobs.info(j))
 }
 
-// patternsPage is the JSON body of GET /jobs/{id}/patterns. It carries
+// patternsPage is the JSON body of GET /v1/jobs/{id}/patterns. It carries
 // both cursor styles: the original offset/next_offset pair and the
 // unified next_page_token (feed it back as ?page_token=).
 type patternsPage struct {

@@ -4,29 +4,28 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"ftpm"
 )
 
-// Out-of-core dataset views. A durable server serves each dataset
-// generation from sealed columnar segment files (internal/server/store's
-// "FTPMSEG1" format) instead of an in-memory symbolic database: the
-// upload seals one base segment, and every append seals a delta segment
-// holding only the appended samples. chainSource stitches a base view and
-// a delta into one ftpm.SymbolSource, which is what the mining pipeline
-// consumes — so the mmap-backed path and the in-memory path run the exact
-// same conversion and NMI code over the exact same runs.
+// Dataset generation views. Every generation is one ftpm.SymbolSource:
+// the upload, followed by one delta of only the appended samples per
+// append, stitched together by chainSource. The in-memory server keeps
+// each part as an in-heap symbolic database; a durable server seals each
+// part into a columnar segment file (internal/server/store's "FTPMSEG1"
+// format) and chains the mmap'd segments instead. Either way the mining
+// pipeline runs the exact same conversion and NMI code over the exact
+// same runs.
 
 // chainSource is the SymbolSource of a dataset generation built by an
-// append: the previous generation's view followed by a delta segment of
-// the appended samples. The tail carries the full post-append alphabets
+// append: the previous generation's view followed by a delta of the
+// appended samples. The tail carries the full post-append alphabets
 // (appends extend alphabets, never renumber them, so base symbol ids stay
 // valid under the tail's alphabet); a run crossing the seam — the base's
 // last run continued by the delta's first — is merged, so AppendRuns
-// yields the same maximal runs an in-memory extension would. Chains nest:
-// generation g after g appends is a chain of depth g over the base
-// segment.
+// yields the same maximal runs a flat copy of the content would. Chains
+// nest: generation g after g appends is a chain of depth g over the
+// upload.
 type chainSource struct {
 	base ftpm.SymbolSource
 	tail ftpm.SymbolSource
@@ -64,22 +63,27 @@ func (c *chainSource) AppendRuns(i int, dst []ftpm.Run) []ftpm.Run {
 	return dst
 }
 
-// fingerprintSource hashes a source's full content into the same key
-// fingerprintSDB produces for the equivalent in-memory database: the
-// run expansion writes every sample's symbol id in order, so a dataset
-// fingerprints identically whether it lives in RAM or in segments — the
-// content-addressed result cache then hits across storage modes and
-// restarts.
+// fingerprintChunk is how many bytes fingerprintSource batches before
+// each hash write.
+const fingerprintChunk = 32 << 10
+
+// fingerprintSource hashes a source's full content — series names,
+// timing, alphabets and every sample's symbol id in order — into a
+// stable key. The result cache serves documents across datasets purely
+// by this key, so the hash is collision-resistant (sha256) and the
+// encoding unambiguous: every string and collection is length-prefixed,
+// every integer 8 bytes little-endian. Runs are expanded sample by
+// sample, so a dataset fingerprints identically however it is split
+// into parts (one upload, a chain of appends) and wherever the parts
+// live (heap or segments). The bytes are batched into one buffer and
+// hashed every fingerprintChunk bytes.
 func fingerprintSource(src ftpm.SymbolSource) string {
 	h := sha256.New()
-	var buf [8]byte
-	writeInt := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
+	buf := make([]byte, 0, fingerprintChunk+64)
+	writeInt := func(v int64) { buf = binary.LittleEndian.AppendUint64(buf, uint64(v)) }
 	writeStr := func(s string) {
 		writeInt(int64(len(s)))
-		io.WriteString(h, s)
+		buf = append(buf, s...)
 	}
 	n := src.NumSeries()
 	writeInt(int64(n))
@@ -97,9 +101,14 @@ func fingerprintSource(src ftpm.SymbolSource) string {
 		runs = src.AppendRuns(i, runs[:0])
 		for _, r := range runs {
 			for k := r.First; k <= r.Last; k++ {
-				writeInt(int64(r.Symbol))
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Symbol))
+				if len(buf) >= fingerprintChunk {
+					h.Write(buf)
+					buf = buf[:0]
+				}
 			}
 		}
 	}
+	h.Write(buf)
 	return fmt.Sprintf("%x", h.Sum(nil))
 }

@@ -40,11 +40,12 @@
 // run-length-encoded symbol columns — the exact maximal runs the DSEQ
 // converter and the NMI tables consume. OpenSegment maps the file
 // read-only (mmap on Unix, a plain read elsewhere) and serves it through
-// the same SymbolSource interface the in-memory path implements, so
-// mining from a segment is byte-identical to mining from RAM while the
-// kernel pages column bytes in and out on demand. A fixed-size trailer
-// locates the CRC-protected footer without scanning, and Open fully
-// validates the run blocks in O(runs) before anything is served.
+// the same SymbolSource interface an in-heap symbolic database
+// implements, so mining from a segment is byte-identical to mining from
+// RAM while the kernel pages column bytes in and out on demand. A
+// fixed-size trailer locates the CRC-protected footer without scanning,
+// and Open fully validates the run blocks in O(runs) before anything is
+// served.
 // Segments are immutable after the tmp+fsync+rename that creates them;
 // appends seal new delta segments rather than rewriting existing ones.
 // With payloads in segments, the WAL records only metadata plus segment

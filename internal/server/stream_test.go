@@ -436,30 +436,20 @@ func TestEventsRoutesV1Only(t *testing.T) {
 	}
 }
 
-// TestLegacyRoutesCarryDeprecation pins the aliasing contract: the
-// unversioned paths answer identically to /v1 but advertise their
-// successor.
-func TestLegacyRoutesCarryDeprecation(t *testing.T) {
+// TestUnversionedRoutesNotFound pins the API surface: every route lives
+// under /v1, and an unversioned path is a 404 with the error envelope
+// pointing there.
+func TestUnversionedRoutesNotFound(t *testing.T) {
 	_, ts := testServer(t, Options{Workers: 1})
-	resp, err := http.Get(ts.URL + "/datasets")
-	if err != nil {
-		t.Fatal(err)
+	for _, path := range []string{"/datasets", "/healthz"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertEnvelope(t, resp, http.StatusNotFound, codeNotFound, "routes are served under /v1")
+		resp.Body.Close()
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Fatal("legacy route missing Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "/v1/datasets") || !strings.Contains(link, "successor-version") {
-		t.Fatalf("legacy route Link = %q", link)
-	}
-	resp, err = http.Get(ts.URL + "/v1/datasets")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "" {
-		t.Fatal("v1 route must not carry a Deprecation header")
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/healthz", nil, nil); code != http.StatusOK {
+		t.Fatalf("/v1/healthz: status %d, want 200", code)
 	}
 }
