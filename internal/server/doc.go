@@ -51,8 +51,10 @@
 //     shrinks an incumbent job's parallelism at its next level boundary
 //     instead of waiting for the whole run (results are byte-identical
 //     across worker counts, so mid-run renegotiation is safe). Jobs move
-//     through the states queued → running → done | failed | cancelled;
-//     per-job progress is sourced from the miner's per-level stats via
+//     through the states queued → running → done | failed | cancelled,
+//     held in the same record the WAL persists, and every terminal
+//     transition goes through one finish-then-log step; per-job
+//     progress is summed from the miner's per-level stats via
 //     Options.Progress, and cancellation is real — DELETE propagates
 //     context cancellation into the miner, which stops between
 //     verification units and returns ctx.Err(). Every transition and

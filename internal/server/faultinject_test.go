@@ -415,7 +415,7 @@ func TestJobPanicIsolation(t *testing.T) {
 	bomb := uploadCSV(t, ts.URL, "name=bomb&threshold=0.5&shards=1", smallCSV())
 
 	testMineHook = func(j *job) {
-		if j.req.DatasetID == bomb.ID {
+		if j.rec.Request.DatasetID == bomb.ID {
 			panic("mining bomb")
 		}
 	}

@@ -193,56 +193,50 @@ type JobInfo struct {
 	Summary    *JobSummary `json:"summary,omitempty"`
 }
 
-// job is one mining job. Mutable fields are guarded by mu; the request
-// and dataset are immutable after submission.
+// job is one mining job. Its state is its persistence record rec,
+// guarded by mu — what the WAL holds is what the API serves. rec.ID,
+// rec.Request and rec.Tenant are immutable after submission and read
+// without the lock. ds is the dataset the job mines (nil for restored
+// terminal jobs); cancel stops a running job's context.
 type job struct {
-	id     string
 	ds     *Dataset
-	req    MiningRequest
-	tenant string
+	mu     sync.Mutex
+	cancel context.CancelFunc
+	rec    jobRecord
+}
 
-	mu    sync.Mutex
-	state JobState
-	// fp is the content fingerprint of the dataset generation the run
-	// captured — the result cache key component and the provenance stamp
-	// persisted with the terminal record.
-	fp         string
-	errMsg     string
-	createdAt  time.Time
-	startedAt  time.Time
-	finishedAt time.Time
-	progress   Progress
-	// levels records the per-level timings from the miner's Progress
-	// callback; the /metrics endpoint exposes them.
-	levels  []LevelTimingJSON
-	cancel  context.CancelFunc
-	doc     *ftpm.ResultJSON
-	summary *JobSummary
+// progressOf accumulates the per-level stats of a run into its progress
+// view: the live Progress callback appends levels, and a restored record
+// carries them, so both report the same numbers.
+func progressOf(levels []LevelTimingJSON) Progress {
+	var p Progress
+	for _, lv := range levels {
+		p.Level = max(p.Level, lv.Level)
+		p.Candidates += lv.Candidates
+		if lv.Level >= 2 {
+			p.Patterns += lv.Patterns
+		}
+	}
+	return p
 }
 
 // snapshot returns a consistent JSON view of the job.
 func (j *job) snapshot() JobInfo {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	info := JobInfo{
-		ID:        j.id,
-		DatasetID: j.req.DatasetID,
-		Tenant:    j.tenant,
-		State:     j.state,
-		Error:     j.errMsg,
-		CreatedAt: j.createdAt,
-		Progress:  j.progress,
-		Summary:   j.summary,
+	r := &j.rec
+	return JobInfo{
+		ID:         r.ID,
+		DatasetID:  r.Request.DatasetID,
+		Tenant:     r.Tenant,
+		State:      r.State,
+		Error:      r.Error,
+		CreatedAt:  r.CreatedAt,
+		StartedAt:  r.StartedAt,
+		FinishedAt: r.FinishedAt,
+		Progress:   progressOf(r.Levels),
+		Summary:    r.Summary,
 	}
-	if !j.startedAt.IsZero() {
-		t := j.startedAt
-		info.StartedAt = &t
-	}
-	if !j.finishedAt.IsZero() {
-		t := j.finishedAt
-		info.FinishedAt = &t
-	}
-	return info
 }
 
 // document returns the result document of a done job, or nil and the
@@ -250,38 +244,26 @@ func (j *job) snapshot() JobInfo {
 func (j *job) document() (*ftpm.ResultJSON, JobState) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.doc, j.state
+	return j.rec.Doc, j.rec.State
 }
 
-// recordLocked snapshots the job as its persistence record. The summary
-// is copied and the level slice cloned so the record stays immutable
-// once handed to the persister; the result document is shared — it is
-// never mutated after the job completes. Caller holds j.mu.
+// recordLocked copies the job's record for the persister. The level
+// slice is cloned because a running job keeps appending to it; the time
+// pointers, summary and result document are never mutated once set, so
+// they are shared. Caller holds j.mu.
 func (j *job) recordLocked() jobRecord {
-	rec := jobRecord{
-		ID:          j.id,
-		Request:     j.req,
-		Tenant:      j.tenant,
-		Fingerprint: j.fp,
-		State:       j.state,
-		Error:       j.errMsg,
-		CreatedAt:   j.createdAt,
-		Levels:      append([]LevelTimingJSON(nil), j.levels...),
-		Doc:         j.doc,
-	}
-	if !j.startedAt.IsZero() {
-		t := j.startedAt
-		rec.StartedAt = &t
-	}
-	if !j.finishedAt.IsZero() {
-		t := j.finishedAt
-		rec.FinishedAt = &t
-	}
-	if j.summary != nil {
-		s := *j.summary
-		rec.Summary = &s
-	}
+	rec := j.rec
+	rec.Levels = append([]LevelTimingJSON(nil), j.rec.Levels...)
 	return rec
+}
+
+// finishLocked moves the job to a terminal state — the only place a
+// terminal state is assigned — and returns the record logTerminal
+// publishes and persists. Caller holds j.mu.
+func (j *job) finishLocked(state JobState, errMsg string) jobRecord {
+	now := time.Now()
+	j.rec.State, j.rec.Error, j.rec.FinishedAt = state, errMsg, &now
+	return j.recordLocked()
 }
 
 // jobManager runs mining jobs on a bounded worker pool over per-tenant
@@ -403,89 +385,49 @@ func (m *jobManager) publishProgress(id, tenant string, lv LevelTimingJSON) {
 	})
 }
 
-// restore loads replayed jobs into the manager. Jobs that were live
-// (queued or running) when the previous process died re-queue against
-// their tenant — they count against its quota immediately, so admission
-// control survives restarts — and re-run from scratch; mining is pure, so
-// the re-run is safe and byte-identical. Only live jobs whose dataset did
-// not survive replay come back failed with the distinguishable
-// lost-to-restart error. Done jobs whose dataset still exists re-seed the
-// completed-job result cache, so repeat submissions after a restart hit
-// without mining.
+// restore loads replayed jobs into the manager: each record becomes the
+// job's state as it stands. Jobs that were live (queued or running) when
+// the previous process died re-queue against their tenant — they count
+// against its quota immediately, so admission control survives restarts
+// — and re-run from scratch; mining is pure, so the re-run is safe and
+// byte-identical. Only live jobs whose dataset did not survive replay
+// come back failed with the distinguishable lost-to-restart error. Done
+// jobs whose dataset still exists re-seed the completed-job result cache,
+// so repeat submissions after a restart hit without mining.
 func (m *jobManager) restore(records []jobRecord, maxSeq int, reg *registry) {
-	now := time.Now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, rec := range records {
-		tenant := rec.Tenant
-		if tenant == "" { // records from before tenants existed
-			tenant = DefaultTenant
+		if rec.Tenant == "" { // records from before tenants existed
+			rec.Tenant = DefaultTenant
 		}
-		j := &job{
-			id:        rec.ID,
-			req:       rec.Request,
-			tenant:    tenant,
-			fp:        rec.Fingerprint,
-			state:     rec.State,
-			errMsg:    rec.Error,
-			createdAt: rec.CreatedAt,
-			levels:    rec.Levels,
-			doc:       rec.Doc,
-			summary:   rec.Summary,
-		}
-		if rec.StartedAt != nil {
-			j.startedAt = *rec.StartedAt
-		}
-		if rec.FinishedAt != nil {
-			j.finishedAt = *rec.FinishedAt
-		}
-		// Progress is not persisted separately — it re-accumulates from
-		// the persisted level timings exactly as the live Progress
-		// callback built it.
-		for _, lv := range rec.Levels {
-			if lv.Level > j.progress.Level {
-				j.progress.Level = lv.Level
+		j := &job{rec: rec}
+		ds, ok := reg.get(rec.Request.DatasetID)
+		switch {
+		case !rec.State.Terminal() && ok:
+			// Re-queue: reset to a clean pre-run lifecycle (a snapshot may
+			// have captured the job mid-run with partial levels).
+			j.rec.State, j.rec.Error, j.rec.StartedAt, j.rec.Levels = JobQueued, "", nil, nil
+			j.ds = ds
+			t := m.tenantLocked(rec.Tenant)
+			t.queue = append(t.queue, j)
+			t.admitted++
+			m.totalQueued++
+			m.publishState(rec.ID, rec.Tenant, JobQueued, "")
+		case !rec.State.Terminal():
+			j.finishLocked(JobFailed, lostToRestart)
+		case rec.State == JobDone && rec.Doc != nil && rec.Summary != nil && ok:
+			// Pre-append-era records carry no fingerprint; their log
+			// cannot contain appends, so the dataset's current fingerprint
+			// is the one the job mined.
+			fp := rec.Fingerprint
+			if fp == "" {
+				fp = ds.view().fingerprint
 			}
-			j.progress.Candidates += lv.Candidates
-			if lv.Level >= 2 {
-				j.progress.Patterns += lv.Patterns
-			}
+			m.results.put(resultKey(fp, ds.shards, rec.Request), &resultEntry{doc: rec.Doc, summary: *rec.Summary, size: docSize(rec.Doc)})
 		}
-		if !j.state.Terminal() {
-			if ds, ok := reg.get(rec.Request.DatasetID); ok {
-				// Re-queue: reset to a clean pre-run lifecycle (a snapshot
-				// may have captured the job mid-run with partial levels).
-				j.state = JobQueued
-				j.errMsg = ""
-				j.startedAt = time.Time{}
-				j.progress = Progress{}
-				j.levels = nil
-				j.ds = ds
-				t := m.tenantLocked(tenant)
-				t.queue = append(t.queue, j)
-				t.admitted++
-				m.totalQueued++
-				m.publishState(j.id, tenant, JobQueued, "")
-			} else {
-				j.state = JobFailed
-				j.errMsg = lostToRestart
-				j.finishedAt = now
-			}
-		}
-		if j.state == JobDone && j.doc != nil && j.summary != nil {
-			if ds, ok := reg.get(rec.Request.DatasetID); ok {
-				// Pre-append-era records carry no fingerprint; their log
-				// cannot contain appends, so the dataset's current
-				// fingerprint is the one the job mined.
-				fp := rec.Fingerprint
-				if fp == "" {
-					fp = ds.view().fingerprint
-				}
-				m.results.put(resultKey(fp, ds.shards, rec.Request), &resultEntry{doc: j.doc, summary: *j.summary, size: docSize(j.doc)})
-			}
-		}
-		m.byID[j.id] = j
-		m.ids = append(m.ids, j.id)
+		m.byID[rec.ID] = j
+		m.ids = append(m.ids, rec.ID)
 	}
 	if maxSeq > m.seq {
 		m.seq = maxSeq
@@ -519,22 +461,21 @@ func (m *jobManager) submit(ds *Dataset, req MiningRequest, tenant string) (*job
 		m.mu.Unlock()
 		return nil, errQuotaExceeded{tenant: tenant, maxQueued: m.qos.maxQueued, retryAfter: retry}
 	}
-	j := &job{
-		id:        fmt.Sprintf("job-%d", m.seq+1),
-		ds:        ds,
-		req:       req,
-		tenant:    tenant,
-		state:     JobQueued,
-		createdAt: time.Now(),
-	}
 	m.seq++
-	m.byID[j.id] = j
-	m.ids = append(m.ids, j.id)
+	j := &job{ds: ds, rec: jobRecord{
+		ID:        fmt.Sprintf("job-%d", m.seq),
+		Request:   req,
+		Tenant:    tenant,
+		State:     JobQueued,
+		CreatedAt: time.Now(),
+	}}
+	m.byID[j.rec.ID] = j
+	m.ids = append(m.ids, j.rec.ID)
 	t.queue = append(t.queue, j)
 	t.admitted++
 	m.totalQueued++
 	m.evictLocked()
-	m.publishState(j.id, tenant, JobQueued, "")
+	m.publishState(j.rec.ID, tenant, JobQueued, "")
 	m.cond.Signal()
 	m.mu.Unlock()
 	// Logged outside m.mu (the persister's snapshot gather takes the
@@ -568,7 +509,7 @@ func (m *jobManager) evictLocked() {
 	for _, id := range m.ids {
 		j := m.byID[id]
 		j.mu.Lock()
-		terminal := j.state.Terminal()
+		terminal := j.rec.State.Terminal()
 		j.mu.Unlock()
 		if excess > 0 && terminal {
 			delete(m.byID, id)
@@ -587,23 +528,6 @@ func (m *jobManager) get(id string) (*job, bool) {
 	return j, ok
 }
 
-func (m *jobManager) list() []JobInfo {
-	m.mu.Lock()
-	ids := append([]string(nil), m.ids...)
-	byID := make([]*job, len(ids))
-	for i, id := range ids {
-		byID[i] = m.byID[id]
-	}
-	m.mu.Unlock()
-	depth := m.queueDepth()
-	out := make([]JobInfo, len(byID))
-	for i, j := range byID {
-		out[i] = j.snapshot()
-		out[i].QueueDepth = depth
-	}
-	return out
-}
-
 // cancelJob cancels a queued or running job and reports the state the
 // job was in when the request arrived. Queued jobs transition to
 // cancelled immediately and leave their tenant's queue; running jobs are
@@ -619,19 +543,17 @@ func (m *jobManager) cancelJob(id string) (j *job, prior JobState, ok bool) {
 	}
 	var rec *jobRecord
 	j.mu.Lock()
-	prior = j.state
-	switch j.state {
+	prior = j.rec.State
+	switch prior {
 	case JobQueued:
-		j.state = JobCancelled
-		j.finishedAt = time.Now()
 		// The job may already have been popped by a worker that has not
 		// yet observed the state (run discards it then); only a job still
 		// queued moves the gauge here.
 		m.removeQueuedLocked(j)
-		if t, tok := m.tenants[j.tenant]; tok {
+		if t, tok := m.tenants[j.rec.Tenant]; tok {
 			t.finished++
 		}
-		r := j.recordLocked()
+		r := j.finishLocked(JobCancelled, "")
 		rec = &r
 	case JobRunning:
 		if j.cancel != nil {
@@ -641,8 +563,7 @@ func (m *jobManager) cancelJob(id string) (j *job, prior JobState, ok bool) {
 	j.mu.Unlock()
 	m.mu.Unlock()
 	if rec != nil {
-		m.publishState(rec.ID, rec.Tenant, JobCancelled, rec.Error)
-		m.persist.jobTerminal(m.stamp(*rec))
+		m.logTerminal(*rec)
 	}
 	return j, prior, true
 }
@@ -650,7 +571,7 @@ func (m *jobManager) cancelJob(id string) (j *job, prior JobState, ok bool) {
 // removeQueuedLocked drops j from its tenant's queue if still present and
 // reports whether it was. Caller holds m.mu.
 func (m *jobManager) removeQueuedLocked(j *job) bool {
-	t, ok := m.tenants[j.tenant]
+	t, ok := m.tenants[j.rec.Tenant]
 	if !ok {
 		return false
 	}
@@ -706,7 +627,7 @@ func (m *jobManager) nextJob() *job {
 // minedMillis, when positive, feeds the Retry-After duration estimate.
 func (m *jobManager) releaseRun(j *job, minedMillis int64, finished bool) {
 	m.mu.Lock()
-	if t, ok := m.tenants[j.tenant]; ok {
+	if t, ok := m.tenants[j.rec.Tenant]; ok {
 		if t.running > 0 {
 			t.running--
 		}
@@ -752,75 +673,88 @@ func resultKey(fingerprint string, shards int, req MiningRequest) string {
 		req.WindowLength, req.NumWindows, req.Overlap, approx)
 }
 
-// run executes one job end to end on the calling worker goroutine. The
 // testMineHook, when non-nil, runs inside the panic-isolated mining
 // section of every job; the panic-isolation tests use it to detonate a
 // chosen job.
 var testMineHook func(*job)
 
+// run executes one job end to end on the calling worker goroutine. The
 // dataset's current generation is captured once, before anything else:
 // the cache key, the Prepared handle and the mine all resolve against
 // that one immutable view, so an append landing mid-run can neither tear
 // the job's data nor mislabel its result — the job simply completes on
 // the generation it started on, and the next job picks up the new one.
+// The result comes from the completed-job cache or from mine; one tail
+// classifies the outcome and finishes the job either way.
 func (m *jobManager) run(j *job) {
 	g := j.ds.view()
 	j.mu.Lock()
-	if j.state != JobQueued { // cancelled between pop and here
+	if j.rec.State != JobQueued { // cancelled between pop and here
 		j.mu.Unlock()
 		m.releaseRun(j, 0, false)
 		return
 	}
 	ctx, cancel := context.WithCancel(m.baseCtx)
-	j.state = JobRunning
-	j.startedAt = time.Now()
+	started := time.Now()
+	j.rec.State, j.rec.StartedAt, j.rec.Fingerprint = JobRunning, &started, g.fingerprint
 	j.cancel = cancel
-	j.fp = g.fingerprint
 	j.mu.Unlock()
 	defer cancel()
-	m.publishState(j.id, j.tenant, JobRunning, "")
+	m.publishState(j.rec.ID, j.rec.Tenant, JobRunning, "")
 
 	// Completed-job cache: an identical (dataset content, options) job
-	// returns the memoized document without preparing or mining anything.
-	key := resultKey(g.fingerprint, j.ds.shards, j.req)
+	// returns the memoized document without preparing or mining anything,
+	// unless it was cancelled while being admitted.
+	var doc *ftpm.ResultJSON
+	var sum *JobSummary
+	var err error
+	key := resultKey(g.fingerprint, j.ds.shards, j.rec.Request)
 	if ent, ok := m.results.get(key); ok {
-		j.mu.Lock()
-		j.finishedAt = time.Now()
-		if ctx.Err() != nil { // cancelled while the job was being admitted
-			j.state = JobCancelled
-			j.errMsg = ctx.Err().Error()
-		} else {
+		if err = ctx.Err(); err == nil {
 			m.counters.resultHits.Add(1)
-			j.state = JobDone
-			j.doc = ent.doc
-			sum := ent.summary
-			sum.ResultCache = true
-			sum.DSEQCache = true
-			sum.NMICache = j.req.Approx != nil
-			sum.Workers = 0
-			sum.DurationMillis = j.finishedAt.Sub(j.startedAt).Milliseconds()
-			j.summary = &sum
+			s := ent.summary
+			s.ResultCache, s.DSEQCache, s.NMICache, s.Workers = true, true, j.rec.Request.Approx != nil, 0
+			s.DurationMillis = time.Since(started).Milliseconds()
+			doc, sum = ent.doc, &s
 		}
-		rec := j.recordLocked()
-		state, errMsg := j.state, j.errMsg
-		millis := j.finishedAt.Sub(j.startedAt).Milliseconds()
-		j.mu.Unlock()
-		m.publishState(j.id, j.tenant, state, errMsg)
-		m.persist.jobTerminal(m.stamp(rec))
-		m.releaseRun(j, millis, true)
-		return
+	} else {
+		doc, sum, err = m.mine(ctx, j, g, key)
 	}
 
-	opt := j.req.options()
+	state, errMsg := JobDone, ""
+	switch {
+	case err != nil && (errors.Is(err, context.Canceled) || ctx.Err() != nil):
+		state, errMsg = JobCancelled, err.Error()
+	case err != nil:
+		state, errMsg = JobFailed, err.Error()
+	}
+	j.mu.Lock()
+	j.rec.Doc, j.rec.Summary = doc, sum
+	rec := j.finishLocked(state, errMsg)
+	j.mu.Unlock()
+	m.logTerminal(rec)
+	m.releaseRun(j, rec.FinishedAt.Sub(started).Milliseconds(), true)
+}
+
+// mine prepares and mines the job on generation g and caches a
+// successful result under key. Every job — exact, approx, event-level,
+// sharded or not — mines through the dataset's geometry-keyed Prepared
+// handle and shares its cached DSEQ conversion and NMI tables. A panic
+// anywhere in the prepare/mine pipeline fails only this job with the
+// panic reason (stack to the log); the worker — and every other job —
+// keeps going.
+func (m *jobManager) mine(ctx context.Context, j *job, g *dsGen, key string) (*ftpm.ResultJSON, *JobSummary, error) {
+	req, tenant := j.rec.Request, j.rec.Tenant
+	opt := req.options()
 	// The fair-share budget grants the job its tenant's share of
 	// GOMAXPROCS at admission, and the miner renegotiates the grant at
 	// every level boundary — a tenant arriving mid-run reclaims its share
 	// without waiting for this job to finish.
 	requested := opt.Workers
-	workers := m.grantFor(j.tenant, requested)
+	workers := m.grantFor(tenant, requested)
 	opt.Workers = workers
 	if requested > 0 {
-		opt.WorkersFunc = func(int) int { return m.grantFor(j.tenant, requested) }
+		opt.WorkersFunc = func(int) int { return m.grantFor(tenant, requested) }
 	}
 	opt.Progress = func(ls ftpm.LevelStats) {
 		lv := LevelTimingJSON{
@@ -831,87 +765,63 @@ func (m *jobManager) run(j *job) {
 			Workers:        ls.Workers,
 		}
 		j.mu.Lock()
-		if ls.K > j.progress.Level {
-			j.progress.Level = ls.K
-		}
-		j.progress.Candidates += ls.Candidates
-		if ls.K >= 2 {
-			j.progress.Patterns += ls.Patterns
-		}
-		j.levels = append(j.levels, lv)
+		j.rec.Levels = append(j.rec.Levels, lv)
 		j.mu.Unlock()
-		m.publishProgress(j.id, j.tenant, lv)
+		m.publishProgress(j.rec.ID, tenant, lv)
 	}
 
-	// Every job — exact, approx, event-level, sharded or not — mines
-	// through the dataset's geometry-keyed Prepared handle and shares its
-	// cached DSEQ conversion and NMI tables. The closure isolates a panic
-	// anywhere in the prepare/mine pipeline to this job: it fails with
-	// the panic reason (stack to the log) and the worker — and every
-	// other job — keeps going.
-	var res *ftpm.Result
-	var err error
-	func() {
+	res, err := func() (res *ftpm.Result, err error) {
 		defer func() {
 			if p := recover(); p != nil {
 				err = fmt.Errorf("panic: %v", p)
-				m.logf("job %s panicked: %v\n%s", j.id, p, debug.Stack())
+				m.logf("job %s panicked: %v\n%s", j.rec.ID, p, debug.Stack())
 			}
 		}()
 		if h := testMineHook; h != nil {
 			h(j)
 		}
-		var prep *ftpm.Prepared
-		prep, err = j.ds.prepared(g, j.req.splitOptions())
-		if err == nil {
-			res, err = prep.Mine(ctx, opt)
+		prep, err := j.ds.prepared(g, req.splitOptions())
+		if err != nil {
+			return nil, err
 		}
+		return prep.Mine(ctx, opt)
 	}()
-
-	j.mu.Lock()
-	j.finishedAt = time.Now()
-	switch {
-	case err != nil && (errors.Is(err, context.Canceled) || ctx.Err() != nil):
-		j.state = JobCancelled
-		j.errMsg = err.Error()
-	case err != nil:
-		j.state = JobFailed
-		j.errMsg = err.Error()
-	default:
-		// Counters move only for jobs that actually completed: hits count
-		// documents served from cache, misses jobs that mined to done, so
-		// hits + misses always equals the done-job count.
-		m.counters.resultMisses.Add(1)
-		m.counters.note(res.Cache, j.req.Approx != nil)
-		counts := res.Stats.ShardSequences
-		if len(counts) == 0 {
-			counts = []int{res.Stats.Sequences}
-		}
-		j.ds.noteSeqCounts(counts)
-		doc := res.Document()
-		j.doc = &doc
-		j.state = JobDone
-		j.summary = &JobSummary{
-			Sequences:      res.Stats.Sequences,
-			FrequentEvents: len(res.Singles),
-			Patterns:       len(res.Patterns),
-			Shards:         res.Stats.Shards,
-			ShardSeqs:      res.Stats.ShardSequences,
-			Workers:        workers,
-			DSEQCache:      res.Cache.DSEQ,
-			NMICache:       res.Cache.NMI,
-			Mu:             res.Mu,
-			DurationMillis: res.Stats.Duration.Milliseconds(),
-		}
-		m.results.put(key, &resultEntry{doc: j.doc, summary: *j.summary, size: docSize(j.doc)})
+	if err != nil {
+		return nil, nil, err
 	}
-	rec := j.recordLocked()
-	state, errMsg := j.state, j.errMsg
-	millis := j.finishedAt.Sub(j.startedAt).Milliseconds()
-	j.mu.Unlock()
-	m.publishState(j.id, j.tenant, state, errMsg)
+	// Counters move only for jobs that actually completed: hits count
+	// documents served from cache, misses jobs that mined to done, so
+	// hits + misses always equals the done-job count.
+	m.counters.resultMisses.Add(1)
+	m.counters.note(res.Cache, req.Approx != nil)
+	counts := res.Stats.ShardSequences
+	if len(counts) == 0 {
+		counts = []int{res.Stats.Sequences}
+	}
+	j.ds.noteSeqCounts(counts)
+	doc := res.Document()
+	sum := &JobSummary{
+		Sequences:      res.Stats.Sequences,
+		FrequentEvents: len(res.Singles),
+		Patterns:       len(res.Patterns),
+		Shards:         res.Stats.Shards,
+		ShardSeqs:      res.Stats.ShardSequences,
+		Workers:        workers,
+		DSEQCache:      res.Cache.DSEQ,
+		NMICache:       res.Cache.NMI,
+		Mu:             res.Mu,
+		DurationMillis: res.Stats.Duration.Milliseconds(),
+	}
+	m.results.put(key, &resultEntry{doc: &doc, summary: *sum, size: docSize(&doc)})
+	return &doc, sum, nil
+}
+
+// logTerminal publishes a terminal transition, then appends its record
+// to the WAL. Callers release the manager and job locks first: the
+// persister's snapshot gather takes them.
+func (m *jobManager) logTerminal(rec jobRecord) {
+	m.publishState(rec.ID, rec.Tenant, rec.State, rec.Error)
 	m.persist.jobTerminal(m.stamp(rec))
-	m.releaseRun(j, millis, true)
 }
 
 // info snapshots a job and stamps the current queue depth onto it.
@@ -945,13 +855,11 @@ func (m *jobManager) close() {
 	for _, id := range m.ids {
 		j := m.byID[id]
 		j.mu.Lock()
-		if !j.state.Terminal() {
-			j.state = JobCancelled
-			j.finishedAt = time.Now()
-			if t, ok := m.tenants[j.tenant]; ok {
+		if !j.rec.State.Terminal() {
+			if t, ok := m.tenants[j.rec.Tenant]; ok {
 				t.finished++
 			}
-			recs = append(recs, j.recordLocked())
+			recs = append(recs, j.finishLocked(JobCancelled, ""))
 		}
 		j.mu.Unlock()
 	}
@@ -964,8 +872,7 @@ func (m *jobManager) close() {
 		// Published before the hub closes (Server.Close closes it after
 		// this returns), so streaming clients see the shutdown
 		// cancellations as ordinary terminal events.
-		m.publishState(rec.ID, rec.Tenant, JobCancelled, rec.Error)
-		m.persist.jobTerminal(m.stamp(rec))
+		m.logTerminal(rec)
 	}
 }
 
@@ -1017,7 +924,7 @@ func (m *jobManager) page(afterSeq, limit int) (infos []JobInfo, nextAfter strin
 		infos[i].QueueDepth = depth
 	}
 	if more {
-		nextAfter = jobs[len(jobs)-1].id
+		nextAfter = jobs[len(jobs)-1].rec.ID
 	}
 	return infos, nextAfter
 }

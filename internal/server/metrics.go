@@ -213,11 +213,11 @@ func (m *jobManager) metrics() MetricsJSON {
 	windowStart := len(jobs) - metricsJobWindow
 	for i, j := range jobs {
 		j.mu.Lock()
-		doc.JobStates[string(j.state)]++
+		doc.JobStates[string(j.rec.State)]++
 		if i >= windowStart {
 			doc.Jobs = append(doc.Jobs, JobMetricsJSON{
-				ID: j.id, State: j.state,
-				Levels: append([]LevelTimingJSON(nil), j.levels...),
+				ID: j.rec.ID, State: j.rec.State,
+				Levels: append([]LevelTimingJSON(nil), j.rec.Levels...),
 			})
 		}
 		j.mu.Unlock()

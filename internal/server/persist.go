@@ -127,10 +127,11 @@ type appendRecord struct {
 	Fingerprint string `json:"fingerprint,omitempty"`
 }
 
-// jobRecord is the persisted form of one job. Submission events carry it
-// without terminal fields; terminal events carry the full record
-// (including the result document for done jobs), so either event alone
-// reconstructs the job.
+// jobRecord is one job's whole state: the live job holds one (job.rec)
+// and serves JobInfo from it, and the WAL and snapshots persist copies.
+// Submission events carry it without terminal fields; terminal events
+// carry the full record (including the result document for done jobs),
+// so either event alone reconstructs the job.
 type jobRecord struct {
 	ID      string        `json:"id"`
 	Request MiningRequest `json:"request"`

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -314,13 +315,106 @@ func TestGracefulShutdownPersistsCancellations(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv2.Close()
-	got, ok := srv2.jobs.get(j.id)
+	got, ok := srv2.jobs.get(j.rec.ID)
 	if !ok {
-		t.Fatalf("job %s missing after graceful restart", j.id)
+		t.Fatalf("job %s missing after graceful restart", j.rec.ID)
 	}
 	info := got.snapshot()
 	if info.State != JobCancelled || strings.Contains(info.Error, "lost to restart") {
 		t.Fatalf("gracefully shut down job = %s (%q), want cancelled without a lost-to-restart error", info.State, info.Error)
+	}
+}
+
+// TestJobInfoSurvivesRestart ends one job through each terminal path —
+// done by mining, done from the result cache, failed by a panic,
+// cancelled while queued, while running and by Close — and pins that a
+// clean restart serves every job's info (and each done job's result)
+// byte for byte. queue_depth is a live gauge, not job state, so it is
+// zeroed before comparing.
+func TestJobInfoSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	srv1, ts1 := testServer(t, Options{Workers: 1, DataDir: dir})
+	small := uploadCSV(t, ts1.URL, "name=small&threshold=0.5&shards=1", smallCSV())
+	bomb := uploadCSV(t, ts1.URL, "name=bomb&threshold=0.5&shards=1", smallCSV())
+	slow := uploadCSV(t, ts1.URL, "name=slow&threshold=0.5", slowCSV(4, 12000))
+	smallReq := MiningRequest{DatasetID: small.ID, MinSupport: 0.2, NumWindows: 2, MaxPatternSize: 2}
+	slowReq := MiningRequest{DatasetID: slow.ID, MinSupport: 0.1, NumWindows: 6, MaxPatternSize: 2, Workers: 1}
+	cancel := func(id string) {
+		if code := doJSON(t, http.MethodDelete, ts1.URL+"/v1/jobs/"+id, nil, nil); code != http.StatusAccepted {
+			t.Fatalf("cancel %s: status %d", id, code)
+		}
+	}
+	running := func(j JobInfo) bool { return j.State == JobRunning }
+
+	mined := mineDone(t, ts1.URL, smallReq)
+	cached := mineDone(t, ts1.URL, smallReq)
+	if cached.Summary == nil || !cached.Summary.ResultCache {
+		t.Fatalf("repeat job summary = %+v, want a result-cache hit", cached.Summary)
+	}
+
+	testMineHook = func(j *job) {
+		if j.rec.Request.DatasetID == bomb.ID {
+			panic("mining bomb")
+		}
+	}
+	defer func() { testMineHook = nil }()
+	// Same content as small, so the request differs to miss the result
+	// cache and reach the hook.
+	panicked := submitJob(t, ts1.URL, MiningRequest{DatasetID: bomb.ID, MinSupport: 0.3, NumWindows: 2, MaxPatternSize: 2})
+	if got := waitState(t, ts1.URL, panicked.ID, 10*time.Second, func(j JobInfo) bool { return j.State.Terminal() }); got.State != JobFailed {
+		t.Fatalf("panicked job = %s, want failed", got.State)
+	}
+
+	cancelledRunning := submitJob(t, ts1.URL, slowReq)
+	waitState(t, ts1.URL, cancelledRunning.ID, 10*time.Second, running)
+	cancelledQueued := submitJob(t, ts1.URL, slowReq)
+	cancel(cancelledQueued.ID)
+	cancel(cancelledRunning.ID)
+	waitState(t, ts1.URL, cancelledRunning.ID, 20*time.Second, func(j JobInfo) bool { return j.State.Terminal() })
+
+	// Close cancels both the running job and the one queued behind it.
+	closedRunning := submitJob(t, ts1.URL, slowReq)
+	waitState(t, ts1.URL, closedRunning.ID, 10*time.Second, running)
+	closedQueued := submitJob(t, ts1.URL, slowReq)
+	srv1.Close()
+
+	depth := regexp.MustCompile(`"queue_depth":\d+`)
+	get := func(base, path string) []byte {
+		t.Helper()
+		code, body := getRaw(t, base+path)
+		if code != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, code)
+		}
+		return depth.ReplaceAll(body, []byte(`"queue_depth":0`))
+	}
+	var paths []string
+	want := map[JobState][]string{
+		JobDone:      {mined.ID, cached.ID},
+		JobFailed:    {panicked.ID},
+		JobCancelled: {cancelledQueued.ID, cancelledRunning.ID, closedRunning.ID, closedQueued.ID},
+	}
+	for state, ids := range want {
+		for _, id := range ids {
+			var info JobInfo
+			if err := json.Unmarshal(get(ts1.URL, "/v1/jobs/"+id), &info); err != nil || info.State != state {
+				t.Fatalf("job %s before restart = %s (%v), want %s", id, info.State, err, state)
+			}
+			paths = append(paths, "/v1/jobs/"+id)
+			if state == JobDone {
+				paths = append(paths, "/v1/jobs/"+id+"/result")
+			}
+		}
+	}
+	before := make(map[string][]byte, len(paths))
+	for _, p := range paths {
+		before[p] = get(ts1.URL, p)
+	}
+
+	_, ts2 := testServer(t, Options{Workers: 1, DataDir: dir})
+	for _, p := range paths {
+		if after := get(ts2.URL, p); !bytes.Equal(after, before[p]) {
+			t.Errorf("GET %s changed across restart:\nbefore %s\nafter  %s", p, before[p], after)
+		}
 	}
 }
 

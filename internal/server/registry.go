@@ -474,16 +474,6 @@ func (r *registry) generations() map[string]int64 {
 	return out
 }
 
-func (r *registry) list() []DatasetInfo {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]DatasetInfo, 0, len(r.ids))
-	for _, id := range r.ids {
-		out = append(out, r.byID[id].info())
-	}
-	return out
-}
-
 // page returns up to limit dataset infos strictly after the afterSeq id
 // cursor, in insertion order (id order — ids are monotone, removals only
 // delete entries, so a cursor stays stable across appends and removals).

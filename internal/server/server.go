@@ -207,8 +207,8 @@ func New(opts Options) (*Server, error) {
 // dataset record without segment references (the full-payload shape of
 // data directories written before segments existed) fails the restore
 // rather than being dropped: a later compaction would otherwise lose the
-// payload for good. Jobs that were live at crash time surface as failed
-// ("lost to restart").
+// payload for good. Jobs that were live at crash time re-queue, or
+// surface as failed ("lost to restart") when their dataset is gone.
 func (s *Server) restore(st *recoveredState) error {
 	if st.snapshotDamaged {
 		s.logf("persist: snapshot failed verification and was ignored")
@@ -826,6 +826,9 @@ func symbolizeConcurrent(series []*ftpm.TimeSeries, threshold float64, workers i
 func (s *Server) routeJobs(w http.ResponseWriter, r *http.Request, rest []string) {
 	switch {
 	case len(rest) == 0 && r.Method == http.MethodPost:
+		if s.rejectUnwritable(w) {
+			return
+		}
 		s.handleSubmitJob(w, r)
 	case len(rest) == 0 && r.Method == http.MethodGet:
 		limit, token, err := pageParams(r.URL.Query())
@@ -877,14 +880,6 @@ func (s *Server) routeJobs(w http.ResponseWriter, r *http.Request, rest []string
 }
 
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
-	// Submits are gated like uploads: a degraded server cannot make the
-	// submission (or its terminal record) durable, so accepting the job
-	// would promise state a restart forgets.
-	if degraded, reason := s.degradedState(); degraded {
-		w.Header().Set("Retry-After", strconv.Itoa(degradedRetryAfter))
-		writeError(w, http.StatusServiceUnavailable, codeDegraded, "server is in degraded read-only mode: %s", reason)
-		return
-	}
 	tenant, ok := tenantOf(r.Header.Get(tenantHeader))
 	if !ok {
 		writeError(w, http.StatusBadRequest, codeInvalidArgument,
@@ -919,7 +914,7 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.logf("job %s submitted on %s by tenant %s (σ=%v δ=%v approx=%v)",
-		j.id, req.DatasetID, tenant, req.MinSupport, req.MinConfidence, req.Approx != nil)
+		j.rec.ID, req.DatasetID, tenant, req.MinSupport, req.MinConfidence, req.Approx != nil)
 	writeJSON(w, http.StatusAccepted, s.jobs.info(j))
 }
 

@@ -441,10 +441,10 @@ func TestCancelTerminalJobConflict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, prior, ok := m.cancelJob(j.id); !ok || prior != JobQueued {
+	if _, prior, ok := m.cancelJob(j.rec.ID); !ok || prior != JobQueued {
 		t.Fatalf("first cancel: prior = %s, ok = %t", prior, ok)
 	}
-	if _, prior, ok := m.cancelJob(j.id); !ok || !prior.Terminal() {
+	if _, prior, ok := m.cancelJob(j.rec.ID); !ok || !prior.Terminal() {
 		t.Fatalf("second cancel must observe the terminal state, got %s", prior)
 	}
 }
@@ -465,7 +465,7 @@ func TestQueueDepthExcludesCancelled(t *testing.T) {
 		}
 		jobs[i] = j
 	}
-	if _, _, ok := m.cancelJob(jobs[1].id); !ok {
+	if _, _, ok := m.cancelJob(jobs[1].rec.ID); !ok {
 		t.Fatal("cancel failed")
 	}
 	if got := m.queueDepth(); got != 2 {
@@ -477,10 +477,10 @@ func TestQueueDepthExcludesCancelled(t *testing.T) {
 	if doc := m.metrics(); doc.QueueDepth != 2 {
 		t.Fatalf("metrics queue_depth = %d, want 2", doc.QueueDepth)
 	}
-	if _, _, ok := m.cancelJob(jobs[0].id); !ok {
+	if _, _, ok := m.cancelJob(jobs[0].rec.ID); !ok {
 		t.Fatal("cancel failed")
 	}
-	if _, _, ok := m.cancelJob(jobs[2].id); !ok {
+	if _, _, ok := m.cancelJob(jobs[2].rec.ID); !ok {
 		t.Fatal("cancel failed")
 	}
 	if got := m.queueDepth(); got != 0 {
@@ -645,7 +645,7 @@ func TestTerminalJobEviction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, ok := m.cancelJob(j.id); !ok {
+		if _, _, ok := m.cancelJob(j.rec.ID); !ok {
 			t.Fatal("cancel failed")
 		}
 	}
@@ -995,8 +995,8 @@ func TestQueueDepthExposed(t *testing.T) {
 	if info := m.info(last); info.QueueDepth != 3 {
 		t.Fatalf("queue_depth = %d, want 3", info.QueueDepth)
 	}
-	list := m.list()
-	if len(list) != 3 || list[0].QueueDepth != 3 {
-		t.Fatalf("list queue_depth = %+v", list)
+	list, next := m.page(0, 10)
+	if len(list) != 3 || list[0].QueueDepth != 3 || next != "" {
+		t.Fatalf("page queue_depth = %+v (next %q)", list, next)
 	}
 }

@@ -25,14 +25,14 @@
 // Records carry a monotonically increasing log sequence number (LSN). A
 // snapshot covers every event up to a captured LSN; on open, WAL records
 // at or below it are skipped, so a crash between "snapshot renamed into
-// place" and "WAL rewritten" replays nothing twice. Two writers exist:
-// WriteSnapshot takes the whole payload at once, and BeginSnapshot
-// streams it — the LSN (and the WAL offset it corresponds to) is
-// captured up front, chunks are appended as same-LSN records to a temp
-// file while concurrent WAL appends proceed untouched, and Commit
+// place" and "WAL rewritten" replays nothing twice. One writer exists,
+// and it streams: BeginSnapshot captures the LSN (and the WAL offset it
+// corresponds to) up front, WriteChunk appends same-LSN records to a
+// temp file while concurrent WAL appends proceed untouched, and Commit
 // atomically renames the snapshot into place and then rewrites the WAL
-// down to just the records logged after the capture point. Either way
-// snapshot replacement is write-temp, fsync, rename, fsync-directory.
+// down to just the records logged after the capture point. Snapshot
+// replacement is write-temp, fsync, rename, fsync-directory; a snapshot
+// written as a single chunk is simply a one-record file.
 //
 // # Segment files ("FTPMSEG1")
 //

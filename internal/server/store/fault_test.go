@@ -48,8 +48,8 @@ func TestClassify(t *testing.T) {
 }
 
 // faultWorkload drives one log through the full durable surface —
-// appends, a one-shot snapshot, more appends, a streamed snapshot, a
-// final append — and returns the payloads the log ACKNOWLEDGED plus the
+// appends, a single-chunk snapshot, more appends, a two-chunk snapshot,
+// a final append — and returns the payloads the log ACKNOWLEDGED plus the
 // first append it REJECTED. Errors are tolerated (the injected fault is
 // sticky, so everything after it fails too); only acknowledged payloads
 // join the expected state, but the first rejected append is the usual
@@ -72,7 +72,7 @@ func faultWorkload(l *Log) (acked []string, maybe string) {
 	// State-neutral: success covers the records so far, failure leaves
 	// the WAL as the restore source — recovered state is the same either
 	// way, which is exactly what the sweep asserts.
-	_ = l.WriteSnapshot([]byte(strings.Join(acked, "\n")))
+	_ = writeSnapshot(l, []byte(strings.Join(acked, "\n")))
 	for i := 0; i < 3; i++ {
 		doAppend(fmt.Sprintf("b%d", i))
 	}
@@ -216,7 +216,7 @@ func TestSnapshotENOSPCKeepsPreviousSnapshot(t *testing.T) {
 			if err := l.Append(1, []byte("one")); err != nil {
 				t.Fatal(err)
 			}
-			if err := l.WriteSnapshot([]byte("snap-v1")); err != nil {
+			if err := writeSnapshot(l, []byte("snap-v1")); err != nil {
 				t.Fatal(err)
 			}
 			prevLSN := l.LSN()
@@ -338,7 +338,7 @@ func TestDropSyncsCounted(t *testing.T) {
 	if err := l.Append(1, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.WriteSnapshot([]byte("s")); err != nil {
+	if err := writeSnapshot(l, []byte("s")); err != nil {
 		t.Fatal(err)
 	}
 	if n := efs.DroppedSyncs(); n < 3 { // open's init sync, append's, snapshot's (file + dir)

@@ -177,9 +177,8 @@ func OpenFS(fsys FS, dir string) (*Log, Recovery, error) {
 	if data, err := fsys.ReadFile(snapPath); err == nil {
 		if body, ok := checkMagic(data); ok {
 			// A snapshot is one or more records all stamped with the same
-			// LSN: WriteSnapshot emits one, a streaming SnapshotWriter
-			// emits a chunk per record. Their payloads concatenate into
-			// the snapshot image.
+			// LSN, one per SnapshotWriter chunk; their payloads concatenate
+			// into the snapshot image.
 			if recs, valid := parseRecords(body); len(recs) >= 1 && valid == len(body) && sameLSN(recs) {
 				if len(recs) == 1 {
 					rec.Snapshot = recs[0].Data
@@ -347,75 +346,6 @@ func (l *Log) Append(kind Kind, data []byte) error {
 	return nil
 }
 
-// WriteSnapshot atomically replaces the snapshot with data, stamped with
-// the current LSN, then resets the WAL. If the process dies between the
-// two steps, the next Open skips the WAL records the snapshot already
-// covers via their LSNs.
-func (l *Log) WriteSnapshot(data []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.unusableLocked(); err != nil {
-		return err
-	}
-	// Mirror Append's cap: parseRecords rejects larger records, so an
-	// oversized snapshot would write "successfully" and then be discarded
-	// as damaged on the next open — fail here instead, which keeps the
-	// WAL (and the state it carries) intact.
-	if len(data) > maxRecord {
-		return fmt.Errorf("store: snapshot of %d bytes exceeds the %d-byte cap", len(data), maxRecord)
-	}
-	buf := append([]byte(fileMagic), appendRecord(nil, 0, l.lsn, data)...)
-	tmp := filepath.Join(l.dir, snapName+".tmp")
-	f, err := l.fs.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	_, werr := f.Write(buf)
-	if serr := f.Sync(); werr == nil {
-		werr = serr
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		l.fs.Remove(tmp)
-		return fmt.Errorf("store: %w", werr)
-	}
-	if err := l.fs.Rename(tmp, filepath.Join(l.dir, snapName)); err != nil {
-		l.fs.Remove(tmp)
-		return fmt.Errorf("store: %w", err)
-	}
-	// Until the directory entry is durable, a crash can resurrect the
-	// old snapshot — which the untouched WAL still covers, so state is
-	// safe, but this snapshot cannot be treated as committed: keep the
-	// WAL intact and report the failure.
-	if err := l.fs.SyncDir(l.dir); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-
-	// If the WAL reset fails the old records remain, but all of them are
-	// at or below the snapshot's LSN, so replay skips them — the off
-	// bookkeeping only advances once the truncate succeeds. A failed
-	// seek after a successful truncate leaves the write position
-	// unknown: poison the log rather than append at a wrong offset.
-	if err := l.wal.Truncate(int64(len(fileMagic))); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if _, err := l.wal.Seek(int64(len(fileMagic)), io.SeekStart); err != nil {
-		l.wal.Close()
-		l.wal = nil
-		l.poisoned = true
-		return fmt.Errorf("store: %w", err)
-	}
-	l.off = int64(len(fileMagic))
-	if err := l.wal.Sync(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	l.walRecords = 0
-	l.snapTime = time.Now()
-	return nil
-}
-
 // SnapshotWriter streams one compacting snapshot in bounded chunks at a
 // captured LSN. BeginSnapshot captures the log position; WriteChunk calls
 // append CRC-framed records (all stamped with the captured LSN) to a temp
@@ -426,8 +356,8 @@ func (l *Log) WriteSnapshot(data []byte) error {
 // snapshot is lost and nothing covered by it is replayed.
 //
 // One snapshot may be in flight at a time (the persister's compacting
-// guard enforces this); a concurrent WriteSnapshot or second writer would
-// race the WAL rewrite.
+// guard enforces this); a second concurrent writer would race the WAL
+// rewrite.
 type SnapshotWriter struct {
 	l    *Log
 	lsn  uint64 // LSN the snapshot covers

@@ -21,6 +21,19 @@ func reopen(t *testing.T, l *Log) (*Log, Recovery) {
 	return nl, rec
 }
 
+// writeSnapshot replaces the snapshot with data, written as one
+// streamed chunk.
+func writeSnapshot(l *Log, data []byte) error {
+	w, err := l.BeginSnapshot()
+	if err != nil {
+		return err
+	}
+	if err := w.WriteChunk(data); err != nil {
+		return err
+	}
+	return w.Commit()
+}
+
 func TestAppendReplayRoundTrip(t *testing.T) {
 	l, rec, err := Open(t.TempDir())
 	if err != nil {
@@ -67,7 +80,7 @@ func TestSnapshotResetsWAL(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.WriteSnapshot([]byte("state@3")); err != nil {
+	if err := writeSnapshot(l, []byte("state@3")); err != nil {
 		t.Fatal(err)
 	}
 	if l.WALRecords() != 0 {
@@ -102,14 +115,14 @@ func TestSnapshotLSNSkip(t *testing.T) {
 	if err := l.Append(1, []byte("b")); err != nil {
 		t.Fatal(err)
 	}
-	// Save the pre-snapshot WAL, snapshot (which truncates it), then put
+	// Save the pre-snapshot WAL, snapshot (which rewrites it empty), then put
 	// the stale WAL back — exactly the on-disk state of that crash.
 	walPath := filepath.Join(dir, walName)
 	stale, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.WriteSnapshot([]byte("covers-2")); err != nil {
+	if err := writeSnapshot(l, []byte("covers-2")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -264,7 +277,7 @@ func TestDamagedSnapshotIgnored(t *testing.T) {
 	if err := l.Append(1, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.WriteSnapshot([]byte("snap")); err != nil {
+	if err := writeSnapshot(l, []byte("snap")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Append(1, []byte("y")); err != nil {
@@ -312,7 +325,7 @@ func TestClosedLog(t *testing.T) {
 	if err := l.Append(1, nil); err != ErrClosed {
 		t.Fatalf("append on closed log = %v, want ErrClosed", err)
 	}
-	if err := l.WriteSnapshot(nil); err != ErrClosed {
+	if err := writeSnapshot(l, nil); err != ErrClosed {
 		t.Fatalf("snapshot on closed log = %v, want ErrClosed", err)
 	}
 }

@@ -191,20 +191,7 @@ func MineSymbolic(ctx context.Context, sdb *SymbolicDB, opt Options) (*Result, e
 // Accuracy returns the fraction of the exact result's patterns that the
 // approximate result retained (Table IX's metric).
 func Accuracy(approx, exact *Result) float64 {
-	ex := make(map[string]bool, len(exact.Patterns))
-	for _, p := range exact.Patterns {
-		ex[p.Pattern.Key()] = true
-	}
-	if len(ex) == 0 {
-		return 1
-	}
-	hit := 0
-	for _, p := range approx.Patterns {
-		if ex[p.Pattern.Key()] {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(ex))
+	return core.Accuracy(&core.Result{Patterns: approx.Patterns}, &core.Result{Patterns: exact.Patterns})
 }
 
 // Describe renders a mined pattern with event names and, when a sample
