@@ -11,6 +11,15 @@
 // and yields an EventGraph for per-event-pair pruning inside correlated
 // series.
 //
+// Both tables derive from one counting artifact, Joints: the marginal
+// symbol counts of every series and the joint counts of every series
+// pair, tallied with one run sweep per pair (O(n²·runs) for n series).
+// The series table reads whole pair blocks; the event table needs one
+// joint cell per event pair plus the marginals, so it adds only O(m²)
+// for m events. Every cell is the same integer a per-sample tally would
+// give and is summed in the same order, so the tables are bit-identical
+// to counting each pair on its own, over any SymbolSource.
+//
 // Both granularities share one threshold-resolution path: ResolveMu
 // derives µ from either an explicit value or an expected graph density
 // evaluated against a pairwise table. The tables themselves are pure

@@ -31,54 +31,47 @@ type EventPairwise struct {
 	Values [][]float64
 }
 
-// indicatorRuns maps the base runs of a series onto the binary indicator
-// of symbol sym: runs keep their extents, the symbol becomes 1 where it
-// matched and 0 elsewhere. The result is a valid (if not maximal) run
-// partition of the indicator series — the run-based counting only needs a
-// partition into constant runs, so adjacent same-value runs need no
-// merging.
-func indicatorRuns(base []timeseries.Run, sym int) []timeseries.Run {
-	out := make([]timeseries.Run, len(base))
-	for i, r := range base {
-		v := 0
-		if r.Symbol == sym {
-			v = 1
-		}
-		out[i] = timeseries.Run{Symbol: v, First: r.First, Last: r.Last}
-	}
-	return out
+// ComputeEventPairwise evaluates NMI between every pair of event
+// indicator series: ComputeJoints followed by Joints.EventPairwise. Any
+// SymbolSource over the same data yields a bit-identical table.
+func ComputeEventPairwise(src timeseries.SymbolSource) (*EventPairwise, error) {
+	return ComputeJoints(src).EventPairwise(), nil
 }
 
-// ComputeEventPairwise evaluates NMI between every pair of event
-// indicator series. The indicators are derived from the source's maximal
-// symbol runs, so with m total events the table costs O(m² · runs)
-// rather than O(m² · samples); it is the price of finer pruning and is
-// included in the A-HTPGM timing when event-level pruning is enabled.
-// Like ComputePairwise, any SymbolSource over the same data yields a
-// bit-identical table.
-func ComputeEventPairwise(src timeseries.SymbolSource) (*EventPairwise, error) {
-	samples := src.Len()
+// EventPairwise derives the event-level NMI table from the series-pair
+// joints, with no pass over the data: O(m²) for m events on top of the
+// joints' O(n² · runs). The indicator of event (X, a) counts cnt_a ones
+// among N samples, and the 2×2 joint of indicators (X=a, Y=b) follows
+// from c₁₁ = joint_XY[a][b] alone:
+//
+//	c₁₀ = cnt_a − c₁₁,  c₀₁ = cnt_b − c₁₁,  c₀₀ = N − cnt_a − cnt_b + c₁₁
+//
+// Two symbols of one series never co-occur, so their c₁₁ is 0. These are
+// the integers a run sweep over the indicator series would count, and
+// they are summed in the same order, so the table is bit-identical to
+// sweeping every indicator pair. This is the price of finer pruning and
+// is included in the A-HTPGM timing when event-level pruning is enabled.
+func (jt *Joints) EventPairwise() *EventPairwise {
+	n := jt.samples
 	var keys []EventKey
-	var inds [][]timeseries.Run
-	var counts [][]int
-	for si := 0; si < src.NumSeries(); si++ {
-		name := src.SeriesName(si)
-		alpha := src.SeriesAlphabet(si)
-		base := src.AppendRuns(si, nil)
+	var series, syms []int // owning series and symbol index per event
+	for si, alpha := range jt.alphabets {
 		for sym := range alpha {
-			keys = append(keys, EventKey{Series: name, Symbol: alpha[sym]})
-			ind := indicatorRuns(base, sym)
-			inds = append(inds, ind)
-			counts = append(counts, countsFromRuns(ind, 2))
+			keys = append(keys, EventKey{Series: jt.names[si], Symbol: alpha[sym]})
+			series = append(series, si)
+			syms = append(syms, sym)
 		}
 	}
 	m := len(keys)
-	p := &EventPairwise{Keys: keys, Values: make([][]float64, m)}
+	// ind[2k:2k+2] are the marginal counts of indicator k: zeros, ones.
+	ind := make([]int, 2*m)
 	entropies := make([]float64, m)
-	for i := range inds {
-		entropies[i] = entropyFromCounts(counts[i], samples)
-		p.Values[i] = make([]float64, m)
+	for k := range keys {
+		c := jt.counts[series[k]][syms[k]]
+		ind[2*k], ind[2*k+1] = n-c, c
+		entropies[k] = entropyFromCounts(ind[2*k:2*k+2], n)
 	}
+	p := &EventPairwise{Keys: keys, Values: square(m)}
 	for i := 0; i < m; i++ {
 		if entropies[i] == 0 {
 			continue // constant indicator: NMI 0 against everything
@@ -92,11 +85,17 @@ func ComputeEventPairwise(src timeseries.SymbolSource) (*EventPairwise, error) {
 				p.Values[i][j] = p.Values[j][i] * entropies[j] / entropies[i]
 				continue
 			}
-			joint := jointFromRuns(inds[i], inds[j], 2, 2)
-			p.Values[i][j] = nmiFromCounts(joint, counts[i], counts[j], samples, entropies[i])
+			c11 := 0
+			if series[i] != series[j] {
+				cells, rs, cs := jt.block(series[i], series[j])
+				c11 = cells[syms[i]*rs+syms[j]*cs]
+			}
+			ca, cb := ind[2*i+1], ind[2*j+1]
+			joint := [4]int{n - ca - cb + c11, cb - c11, ca - c11, c11}
+			p.Values[i][j] = nmiFromCounts(joint[:], 2, 1, ind[2*i:2*i+2], ind[2*j:2*j+2], n, entropies[i])
 		}
 	}
-	return p, nil
+	return p
 }
 
 // MinNMI returns min(NMI(i;j), NMI(j;i)).

@@ -151,47 +151,46 @@ func entropyFromCounts(counts []int, samples int) float64 {
 	return h
 }
 
-// jointFromRuns tallies the joint counts of two aligned series by a
+// sweepJoint tallies the joint counts of two aligned series into dst, a
+// row-major block with ny columns (x-symbol rows, y-symbol columns), by a
 // two-pointer sweep over their run partitions: the overlap length of each
-// run pair lands in one joint cell. Equal to the per-sample tally of
-// jointCounts, in O(|xr| + |yr|).
-func jointFromRuns(xr, yr []timeseries.Run, nx, ny int) [][]int {
-	joint := make([][]int, nx)
-	for i := range joint {
-		joint[i] = make([]int, ny)
-	}
+// run pair lands in one cell. Equal to the per-sample tally of
+// jointCounts, in O(|xr| + |yr|). Which pointer advances is data-driven
+// and unpredictable, so it is computed as 0/1 increments rather than
+// branched on.
+func sweepJoint(dst []int, xr, yr []timeseries.Run, ny int) {
 	i, j := 0, 0
 	for i < len(xr) && j < len(yr) {
-		a, b := xr[i], yr[j]
-		lo, hi := a.First, a.Last
-		if b.First > lo {
-			lo = b.First
-		}
-		if b.Last < hi {
-			hi = b.Last
-		}
+		a, b := &xr[i], &yr[j]
+		lo, hi := max(a.First, b.First), min(a.Last, b.Last)
 		if hi >= lo {
-			joint[a.Symbol][b.Symbol] += hi - lo + 1
+			dst[a.Symbol*ny+b.Symbol] += hi - lo + 1
 		}
+		di, dj := 0, 0
 		if a.Last <= b.Last {
-			i++
+			di = 1
 		}
 		if b.Last <= a.Last {
-			j++
+			dj = 1
 		}
+		i += di
+		j += dj
 	}
-	return joint
 }
 
 // nmiFromCounts evaluates Ĩ(X;Y) = I/H(X) from precomputed counts with
-// the exact float operation order of MutualInformation + NMI. hx must be
+// the exact float operation order of MutualInformation + NMI. The joint
+// cell (xi, yi) is cells[xi*rs+yi*cs], so a block stored as (y, x) is
+// read transposed by swapping the strides; either way the cells are
+// visited x-symbol outer, y-symbol inner. hx must be
 // entropyFromCounts(xCounts, samples) and must be non-zero (callers
 // short-circuit constant series to 0 first).
-func nmiFromCounts(joint [][]int, xCounts, yCounts []int, samples int, hx float64) float64 {
+func nmiFromCounts(cells []int, rs, cs int, xCounts, yCounts []int, samples int, hx float64) float64 {
 	n := float64(samples)
 	mi := 0.0
-	for xi := range joint {
-		for yi, c := range joint[xi] {
+	for xi := range xCounts {
+		for yi := range yCounts {
+			c := cells[xi*rs+yi*cs]
 			if c == 0 {
 				continue
 			}
@@ -211,6 +210,82 @@ func nmiFromCounts(joint [][]int, xCounts, yCounts []int, samples int, hx float6
 	return nmi
 }
 
+// Joints is the counting artifact both NMI tables derive from: the
+// marginal symbol counts of every series and the joint counts of every
+// unordered series pair. The pair blocks live in one flat slice, upper
+// triangle only: pair (i, j), i < j, is a row-major |A_i|×|A_j| block.
+// Series-level NMI reads whole blocks; event-level NMI needs one cell per
+// event pair (EventPairwise). A Joints is immutable once computed.
+type Joints struct {
+	names     []string
+	alphabets [][]string
+	samples   int
+	counts    [][]int // marginal symbol counts per series
+	off       []int   // off[i*n+j], i < j: start of the (i, j) block in cells
+	cells     []int
+}
+
+// ComputeJoints tallies the marginals and the series-pair joints of the
+// source with one run sweep per unordered series pair: O(n² · runs) for n
+// series. It consumes the source's maximal symbol runs only, so any
+// SymbolSource — the in-memory database or an mmap'd segment — yields
+// identical counts.
+func ComputeJoints(src timeseries.SymbolSource) *Joints {
+	n := src.NumSeries()
+	jt := &Joints{
+		names:     make([]string, n),
+		alphabets: make([][]string, n),
+		samples:   src.Len(),
+		counts:    make([][]int, n),
+		off:       make([]int, n*n),
+	}
+	runs := make([][]timeseries.Run, n)
+	for i := 0; i < n; i++ {
+		jt.names[i] = src.SeriesName(i)
+		jt.alphabets[i] = src.SeriesAlphabet(i)
+		runs[i] = src.AppendRuns(i, nil)
+		jt.counts[i] = countsFromRuns(runs[i], len(jt.alphabets[i]))
+	}
+	size := 0
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			jt.off[i*n+j] = size
+			size += len(jt.counts[i]) * len(jt.counts[j])
+		}
+	}
+	jt.cells = make([]int, size)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			cells, _, _ := jt.block(i, j)
+			sweepJoint(cells, runs[i], runs[j], len(jt.counts[j]))
+		}
+	}
+	return jt
+}
+
+// block returns the joint counts of series x against series y with their
+// strides for nmiFromCounts: cell (xi, yi) is cells[xi*rs+yi*cs]. For
+// x > y it is the stored (y, x) block read transposed. x != y.
+func (jt *Joints) block(x, y int) (cells []int, rs, cs int) {
+	nx, ny := len(jt.counts[x]), len(jt.counts[y])
+	if x < y {
+		o := jt.off[x*len(jt.names)+y]
+		return jt.cells[o : o+nx*ny], ny, 1
+	}
+	o := jt.off[y*len(jt.names)+x]
+	return jt.cells[o : o+nx*ny], 1, nx
+}
+
+// square allocates an n×n matrix over one backing array.
+func square(n int) [][]float64 {
+	back := make([]float64, n*n)
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = back[i*n : (i+1)*n : (i+1)*n]
+	}
+	return rows
+}
+
 // Pairwise holds the NMI values of every ordered series pair of a symbolic
 // database.
 type Pairwise struct {
@@ -220,30 +295,25 @@ type Pairwise struct {
 	Values [][]float64
 }
 
-// ComputePairwise evaluates NMI for all ordered pairs (Alg 2, lines 2-3).
-// It consumes the source's maximal symbol runs only, so any SymbolSource
-// — the in-memory database or an mmap'd segment — yields a bit-identical
-// table.
+// ComputePairwise evaluates NMI for all ordered pairs (Alg 2, lines 2-3):
+// ComputeJoints followed by Joints.Pairwise. Any SymbolSource over the
+// same data yields a bit-identical table.
 func ComputePairwise(src timeseries.SymbolSource) (*Pairwise, error) {
-	n := src.NumSeries()
-	samples := src.Len()
-	p := &Pairwise{
-		Names:  make([]string, n),
-		Values: make([][]float64, n),
-	}
-	runs := make([][]timeseries.Run, n)
-	counts := make([][]int, n)
+	return ComputeJoints(src).Pairwise(), nil
+}
+
+// Pairwise derives the series-level NMI table from the joints in
+// O(n² · alphabet²), with no further pass over the data.
+func (jt *Joints) Pairwise() *Pairwise {
+	n := len(jt.names)
 	entropies := make([]float64, n)
-	for i := 0; i < n; i++ {
-		p.Names[i] = src.SeriesName(i)
-		p.Values[i] = make([]float64, n)
-		runs[i] = src.AppendRuns(i, nil)
-		counts[i] = countsFromRuns(runs[i], len(src.SeriesAlphabet(i)))
-		entropies[i] = entropyFromCounts(counts[i], samples)
+	for i, c := range jt.counts {
+		entropies[i] = entropyFromCounts(c, jt.samples)
 	}
+	p := &Pairwise{Names: append([]string(nil), jt.names...), Values: square(n)}
 	nmiOf := func(i, j int) float64 {
-		joint := jointFromRuns(runs[i], runs[j], len(counts[i]), len(counts[j]))
-		return nmiFromCounts(joint, counts[i], counts[j], samples, entropies[i])
+		cells, rs, cs := jt.block(i, j)
+		return nmiFromCounts(cells, rs, cs, jt.counts[i], jt.counts[j], jt.samples, entropies[i])
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -269,7 +339,7 @@ func ComputePairwise(src timeseries.SymbolSource) (*Pairwise, error) {
 			p.Values[i][j] = nmiOf(i, j)
 		}
 	}
-	return p, nil
+	return p
 }
 
 // MinNMI returns min(Ĩ(i;j), Ĩ(j;i)) — the quantity an undirected

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ftpm/internal/datagen"
 	"ftpm/internal/paperex"
 	"ftpm/internal/timeseries"
 )
@@ -33,27 +34,53 @@ func BenchmarkNMI(b *testing.B) {
 	}
 }
 
-// BenchmarkComputePairwise measures the full A-HTPGM setup cost on the
-// paper's Table I database.
+// tableSources are the databases the NMI-table benchmarks run on: the
+// paper's Table I (6 binary series) and a quarter of the SmartCity
+// profile (59 series, ~200 events, alphabets of up to 5 symbols), the
+// A-HTPGM input of the cold-approx workload.
+func tableSources(b *testing.B) []struct {
+	name string
+	src  timeseries.SymbolSource
+} {
+	b.Helper()
+	city, err := datagen.SmartCity().Generate(datagen.Options{SequenceFraction: 0.25, SeedOffset: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return []struct {
+		name string
+		src  timeseries.SymbolSource
+	}{{"paper", paperex.SymbolicDB()}, {"smartcity25", city}}
+}
+
+// BenchmarkComputePairwise measures the series-level A-HTPGM setup cost:
+// the series-pair joints plus the table derived from them.
 func BenchmarkComputePairwise(b *testing.B) {
-	db := paperex.SymbolicDB()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := ComputePairwise(db); err != nil {
-			b.Fatal(err)
-		}
+	for _, tc := range tableSources(b) {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ComputePairwise(tc.src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 // BenchmarkComputeEventPairwise measures the event-level extension's
-// setup cost (quadratic in events rather than series).
+// standalone setup cost: the series-pair joints plus the event table
+// derived from them (quadratic in events rather than series).
 func BenchmarkComputeEventPairwise(b *testing.B) {
-	db := paperex.SymbolicDB()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := ComputeEventPairwise(db); err != nil {
-			b.Fatal(err)
-		}
+	for _, tc := range tableSources(b) {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ComputeEventPairwise(tc.src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

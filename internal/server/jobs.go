@@ -393,8 +393,17 @@ func (m *jobManager) publishProgress(id, tenant string, lv LevelTimingJSON) {
 // byte-identical. Only live jobs whose dataset did not survive replay
 // come back failed with the distinguishable lost-to-restart error. Done
 // jobs whose dataset still exists re-seed the completed-job result cache,
-// so repeat submissions after a restart hit without mining.
+// so repeat submissions after a restart hit without mining. The
+// lost-to-restart transition is published and logged like every other
+// terminal one, so a later restart restores it as it stands instead of
+// failing it (and re-stamping finished_at) again.
 func (m *jobManager) restore(records []jobRecord, maxSeq int, reg *registry) {
+	var lost []jobRecord
+	defer func() {
+		for _, rec := range lost {
+			m.logTerminal(rec)
+		}
+	}()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, rec := range records {
@@ -415,7 +424,7 @@ func (m *jobManager) restore(records []jobRecord, maxSeq int, reg *registry) {
 			m.totalQueued++
 			m.publishState(rec.ID, rec.Tenant, JobQueued, "")
 		case !rec.State.Terminal():
-			j.finishLocked(JobFailed, lostToRestart)
+			lost = append(lost, j.finishLocked(JobFailed, lostToRestart))
 		case rec.State == JobDone && rec.Doc != nil && rec.Summary != nil && ok:
 			// Pre-append-era records carry no fingerprint; their log
 			// cannot contain appends, so the dataset's current fingerprint

@@ -282,6 +282,67 @@ func TestRestartRequeuesLiveJobs(t *testing.T) {
 	}
 }
 
+// TestLostToRestartSurvivesLaterCrashes pins that the lost-to-restart
+// transition is logged like every other terminal one: a job failed at
+// the first restart comes back from a second crash-restart with the same
+// body, finished_at included, instead of being failed (and re-stamped)
+// again.
+func TestLostToRestartSurvivesLaterCrashes(t *testing.T) {
+	dir := t.TempDir()
+	// One worker, held by a blocker job, keeps the orphan queued.
+	release := make(chan struct{})
+	testMineHook = func(j *job) {
+		if j.rec.Request.MinSupport == 0.9 {
+			<-release
+		}
+	}
+	// Registered first, so it runs last: after every server's Close has
+	// joined the workers that read the hook.
+	t.Cleanup(func() { testMineHook = nil })
+	opts := Options{Workers: 1, DataDir: dir}
+	srv1, ts1 := testServer(t, opts)
+	held := uploadCSV(t, ts1.URL, "name=held&threshold=0.5", smallCSV())
+	doomed := uploadCSV(t, ts1.URL, "name=doomed&threshold=0.5", smallCSV())
+	blocker := submitJob(t, ts1.URL, MiningRequest{DatasetID: held.ID, MinSupport: 0.9, NumWindows: 2})
+	waitState(t, ts1.URL, blocker.ID, 10*time.Second, func(j JobInfo) bool { return j.State == JobRunning })
+	orphan := submitJob(t, ts1.URL, MiningRequest{
+		DatasetID: doomed.ID, MinSupport: 0.2, MinConfidence: 0,
+		NumWindows: 2, MaxPatternSize: 2,
+	})
+	if code := doJSON(t, http.MethodDelete, ts1.URL+"/v1/datasets/"+doomed.ID, nil, nil); code != http.StatusNoContent {
+		t.Fatalf("delete doomed dataset: status %d", code)
+	}
+	crash(srv1)
+
+	body := func(base string) []byte {
+		t.Helper()
+		code, b := getRaw(t, base+"/v1/jobs/"+orphan.ID)
+		if code != http.StatusOK {
+			t.Fatalf("GET job after restart: status %d", code)
+		}
+		return b
+	}
+	srv2, ts2 := testServer(t, opts)
+	first := body(ts2.URL)
+	var info JobInfo
+	if err := json.Unmarshal(first, &info); err != nil {
+		t.Fatal(err)
+	}
+	if info.State != JobFailed || info.Error != lostToRestart || info.FinishedAt == nil {
+		t.Fatalf("orphan after first restart = %s (%q, finished %v), want failed lost-to-restart", info.State, info.Error, info.FinishedAt)
+	}
+	// A later restart must not be able to stamp a different time.
+	time.Sleep(5 * time.Millisecond)
+	crash(srv2)
+	_, ts3 := testServer(t, opts)
+	// Runs before the servers' cleanups, so Close can join the worker
+	// the re-queued blocker holds.
+	t.Cleanup(func() { close(release) })
+	if second := body(ts3.URL); !bytes.Equal(second, first) {
+		t.Fatalf("lost job changed across a second crash-restart:\nfirst  %s\nsecond %s", first, second)
+	}
+}
+
 func TestGracefulShutdownPersistsCancellations(t *testing.T) {
 	dir := t.TempDir()
 	srv1, err := New(Options{Workers: 0, DataDir: dir}) // no workers: jobs stay queued

@@ -17,7 +17,8 @@ import (
 //   - Prepare fixes the dataset geometry — the symbolic database, the
 //     window split, the shard width — and owns the derived artifacts:
 //     the sharded DSEQ conversion with its merged view, and the
-//     series-level and event-level pairwise NMI tables.
+//     series-level and event-level pairwise NMI tables, both derived
+//     from one set of series-pair joint counts.
 //   - Analyze is the lazy construction of those artifacts: each is built
 //     at most once per Prepared, on first use, and memoized.
 //   - Mine runs E-HTPGM or A-HTPGM against the cached artifacts; only
@@ -90,16 +91,32 @@ type CacheInfo struct {
 }
 
 // Analysis memoizes the geometry-independent artifacts of one symbolic
-// database: the series-level and event-level pairwise NMI tables. They
-// depend only on the data — not on the window split, shard width, or any
-// threshold — so one Analysis can back any number of Prepared handles
-// over the same database (PrepareWith), the way a served registry keeps
-// one analysis per dataset across all requested window geometries.
+// database: the series-pair joint counts (one run sweep per series pair,
+// O(n²·runs)) and the two pairwise NMI tables derived from them — the
+// series-level table, and the event-level one, which adds O(m²) for m
+// events. A handle that mines both granularities therefore sweeps the
+// data once; a series-level job never derives the event table. The
+// artifacts depend only on the data — not on the window split, shard
+// width, or any threshold — so one Analysis can back any number of
+// Prepared handles over the same database (PrepareWith), the way a
+// served registry keeps one analysis per dataset across all requested
+// window geometries.
 type Analysis struct {
 	src SymbolSource
 
-	pw  cached[*mi.Pairwise]
-	epw cached[*mi.EventPairwise]
+	joints cached[*mi.Joints]
+	pw     cached[*mi.Pairwise]
+	epw    cached[*mi.EventPairwise]
+}
+
+// sharedJoints returns the memoized series-pair joints both NMI tables
+// derive from. Its accesses are not counted: PreparedStats counts the
+// tables.
+func (a *Analysis) sharedJoints() *mi.Joints {
+	jt, _, _ := a.joints.get(func() (*mi.Joints, error) {
+		return mi.ComputeJoints(a.src), nil
+	})
+	return jt
 }
 
 // NewAnalysis wraps a symbolic database for NMI-table sharing across
@@ -313,10 +330,10 @@ func (p *Prepared) sequences() (*core.ShardedView, bool, error) {
 }
 
 // pairwise returns the memoized series-level NMI table of the shared
-// Analysis.
+// Analysis, derived from its joints.
 func (p *Prepared) pairwise() (*mi.Pairwise, bool, error) {
 	pw, hit, err := p.an.pw.get(func() (*mi.Pairwise, error) {
-		return mi.ComputePairwise(p.src)
+		return p.an.sharedJoints().Pairwise(), nil
 	})
 	if err != nil {
 		return nil, hit, err
@@ -330,10 +347,10 @@ func (p *Prepared) pairwise() (*mi.Pairwise, bool, error) {
 }
 
 // eventPairwise returns the memoized event-level NMI table of the shared
-// Analysis.
+// Analysis, derived from its joints.
 func (p *Prepared) eventPairwise() (*mi.EventPairwise, bool, error) {
 	epw, hit, err := p.an.epw.get(func() (*mi.EventPairwise, error) {
-		return mi.ComputeEventPairwise(p.src)
+		return p.an.sharedJoints().EventPairwise(), nil
 	})
 	if err != nil {
 		return nil, hit, err

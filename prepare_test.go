@@ -85,6 +85,54 @@ func TestPreparedMatchesMineSymbolic(t *testing.T) {
 	}
 }
 
+// TestPreparedNMICountersShareJoints pins the NMI cache counters over
+// the shared series-pair joints: the joints memo is not counted, each
+// table still counts one build on first use, and a series-level job
+// never derives the event table.
+func TestPreparedNMICountersShareJoints(t *testing.T) {
+	sdb := paperex.SymbolicDB()
+	ctx := context.Background()
+	series := ftpm.Options{MinSupport: 0.5, MinConfidence: 0.5, Approx: &ftpm.ApproxOptions{Density: 0.6}}
+	event := ftpm.Options{MinSupport: 0.5, MinConfidence: 0.5, Approx: &ftpm.ApproxOptions{Density: 0.6, EventLevel: true}}
+	mine := func(p *ftpm.Prepared, opt ftpm.Options) bool {
+		t.Helper()
+		res, err := p.Mine(ctx, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Cache.NMI
+	}
+
+	mixed, err := ftpm.Prepare(sdb, ftpm.SplitOptions{NumWindows: 4}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := []bool{mine(mixed, series), mine(mixed, event), mine(mixed, series)}
+	if hits[0] || hits[1] || !hits[2] {
+		t.Fatalf("series/event/series Cache.NMI = %v, want [false false true]", hits)
+	}
+	if st := mixed.Stats(); st.NMIBuilds != 2 || st.NMIHits != 1 {
+		t.Fatalf("series/event/series NMI counters = %+v, want 2 builds + 1 hit", st)
+	}
+
+	seriesOnly, err := ftpm.Prepare(sdb, ftpm.SplitOptions{NumWindows: 4}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mine(seriesOnly, series)
+	mine(seriesOnly, series)
+	if st := seriesOnly.Stats(); st.NMIBuilds != 1 || st.NMIHits != 1 {
+		t.Fatalf("series-only NMI counters = %+v, want 1 build + 1 hit", st)
+	}
+	// The event table was never derived: its first use is a build.
+	if mine(seriesOnly, event) {
+		t.Fatal("event-level job after series-only jobs hit a cached event table")
+	}
+	if st := seriesOnly.Stats(); st.NMIBuilds != 2 || st.NMIHits != 1 {
+		t.Fatalf("after the first event-level job NMI counters = %+v, want 2 builds + 1 hit", st)
+	}
+}
+
 // TestPreparedArtifactReuse pins the per-run CacheInfo reporting.
 func TestPreparedArtifactReuse(t *testing.T) {
 	sdb := paperex.SymbolicDB()
